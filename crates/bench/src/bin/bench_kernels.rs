@@ -22,7 +22,11 @@
 //! Since the multi-rate split, a `fig11_cosim` kernel re-times the same
 //! scenario through the partitioned co-simulation engine and the
 //! `compiled` object gains `cosim_speedup` — compiled-monolithic over
-//! cosim — which `bench_validate` holds to a 3x floor.
+//! cosim — which `bench_validate` holds to a 3x floor. That kernel and
+//! `fullchain_cosim` calibrate from scratch on every repeat (cold); the
+//! `*_cosim_warm` kernels reuse one calibration table the way a server
+//! serving a repeated identity does, and `fullchain_warm_speedup` —
+//! monolithic full chain over warm full-chain cosim — must exceed 1.
 //!
 //! ```text
 //! cargo run --release --bin bench_kernels -- --json BENCH_kernels.json
@@ -30,6 +34,7 @@
 //! ```
 
 use bench::{banner, duration_us, profile_table, stage_rows, stages_json};
+use implant_core::cosim::CalibrationCache;
 use implant_core::fullchain::FullChainScenario;
 use implant_core::montecarlo::MonteCarloStudy;
 use implant_core::scenario::Fig11Scenario;
@@ -108,7 +113,7 @@ fn time_kernel(
         hist.record(took);
     }
     println!(
-        "  {name:<11} {repeats} runs · best {best:.3?} · p50 {:?} · p95 {:?} · p99 {:?}",
+        "  {name:<20} {repeats} runs · best {best:.3?} · p50 {:?} · p95 {:?} · p99 {:?}",
         hist.p50(),
         hist.p95(),
         hist.p99(),
@@ -154,13 +159,27 @@ fn main() {
     // The same scenario again, through the partitioned multi-rate
     // engine: the numerator stays the compiled monolithic transient, so
     // the ratio isolates what the domain split buys on top of the
-    // compiled engine.
+    // compiled engine. `run_cosim` calibrates from scratch each repeat.
     let pool = Pool::auto();
     let (hist, vo, fig11_cosim_best) = time_kernel("fig11_cosim", repeats, || {
         Fig11Scenario::shortened().run_cosim(&pool).expect("fig11 cosim runs").vo_worst()
     });
     assert!(vo.is_finite(), "fig11_cosim produced a non-finite Vo");
     kernels.push(("fig11_cosim", hist));
+
+    // Warm: one table, calibrated before the clock starts, serves every
+    // repeat — the repeated-identity path of a running server.
+    let tables = CalibrationCache::new();
+    let warm_fig11 = || {
+        let (outcome, _) = Fig11Scenario::shortened()
+            .run_cosim_with(&pool, &tables)
+            .expect("fig11 cosim runs");
+        outcome.vo_worst()
+    };
+    warm_fig11();
+    let (hist, vo, _) = time_kernel("fig11_cosim_warm", repeats, warm_fig11);
+    assert!(vo.is_finite(), "fig11_cosim_warm produced a non-finite Vo");
+    kernels.push(("fig11_cosim_warm", hist));
 
     let cosim_speedup =
         duration_us(fig11_compiled_best) / duration_us(fig11_cosim_best).max(1e-9);
@@ -170,13 +189,46 @@ fn main() {
     let (_, stats, compile_ns) =
         Fig11Scenario::shortened().run_profiled().expect("profiled fig11 runs");
 
-    let (hist, vo, _) = time_kernel("fullchain", repeats, || {
-        let mut scenario = FullChainScenario::ironic();
-        scenario.cycles = fullchain_cycles;
-        scenario.run().expect("fullchain runs").vo_steady()
+    let fullchain = FullChainScenario {
+        cycles: fullchain_cycles,
+        ..FullChainScenario::ironic()
+    };
+    let (hist, vo, fullchain_best) = time_kernel("fullchain", repeats, || {
+        fullchain.run().expect("fullchain runs").vo_steady()
     });
     assert!(vo.is_finite(), "fullchain produced a non-finite Vo");
     kernels.push(("fullchain", hist));
+
+    let (hist, vo, _) = time_kernel("fullchain_cosim", repeats, || {
+        fullchain
+            .run_cosim(&pool)
+            .expect("fullchain cosim runs")
+            .vo_steady()
+    });
+    assert!(vo.is_finite(), "fullchain_cosim produced a non-finite Vo");
+    kernels.push(("fullchain_cosim", hist));
+
+    let warm_fullchain = || {
+        fullchain
+            .run_cosim_with(&pool, &tables)
+            .expect("fullchain cosim runs")
+            .vo_steady()
+    };
+    warm_fullchain();
+    let (hist, vo, fullchain_warm_best) =
+        time_kernel("fullchain_cosim_warm", repeats, warm_fullchain);
+    assert!(
+        vo.is_finite(),
+        "fullchain_cosim_warm produced a non-finite Vo"
+    );
+    kernels.push(("fullchain_cosim_warm", hist));
+
+    let fullchain_warm_speedup =
+        duration_us(fullchain_best) / duration_us(fullchain_warm_best).max(1e-9);
+    println!(
+        "  warm full-chain cosim speedup: {fullchain_warm_speedup:.2}x \
+         (best monolithic run / best warm cosim run)"
+    );
 
     let mc_trials = args.mc_trials;
     let (hist, yield_sum, _) = time_kernel("montecarlo", repeats, || {
@@ -236,9 +288,10 @@ fn main() {
             ("refactor_skip_rate", Json::Num(stats.refactor_skip_rate())),
             ("fig11_speedup", Json::Num(fig11_speedup)),
             ("cosim_speedup", Json::Num(cosim_speedup)),
+            ("fullchain_warm_speedup", Json::Num(fullchain_warm_speedup)),
         ]);
         let doc = Json::obj(vec![
-            ("schema", Json::Str("implant-bench-kernels/3".to_string())),
+            ("schema", Json::Str("implant-bench-kernels/4".to_string())),
             (
                 "config",
                 Json::obj(vec![

@@ -85,7 +85,11 @@ fn validate_serve(errors: &mut Vec<Violation>, file: &str, doc: &Json) {
     validate_stages(errors, file, doc);
 }
 
-fn validate_kernels(errors: &mut Vec<Violation>, file: &str, doc: &Json, compiled: bool, cosim: bool) {
+/// Checks a kernels artifact of schema `implant-bench-kernels/<version>`:
+/// /2 adds the compiled engine and its 5x gate, /3 the cold cosim
+/// kernel and its 3x gate, /4 the warm-table cosim kernels and the gate
+/// that warm full-chain cosim beats the monolithic full chain.
+fn validate_kernels(errors: &mut Vec<Violation>, file: &str, doc: &Json, version: u32) {
     let Some(Json::Obj(kernels)) = doc.get("kernels") else {
         check(errors, file, false, "missing kernels object");
         return;
@@ -108,7 +112,7 @@ fn validate_kernels(errors: &mut Vec<Violation>, file: &str, doc: &Json, compile
             );
         }
     }
-    if compiled {
+    if version >= 2 {
         check(
             errors,
             file,
@@ -154,7 +158,7 @@ fn validate_kernels(errors: &mut Vec<Violation>, file: &str, doc: &Json, compile
             );
         }
     }
-    if cosim {
+    if version >= 3 {
         check(
             errors,
             file,
@@ -172,6 +176,35 @@ fn validate_kernels(errors: &mut Vec<Violation>, file: &str, doc: &Json, compile
                 file,
                 speedup >= 3.0,
                 &format!("cosim fig11 speedup {speedup:.2}x is below the 3x floor"),
+            );
+        }
+    }
+    if version >= 4 {
+        for name in [
+            "fullchain_cosim",
+            "fig11_cosim_warm",
+            "fullchain_cosim_warm",
+        ] {
+            check(
+                errors,
+                file,
+                kernels.iter().any(|(k, _)| k == name),
+                &format!("kernel {name:?} missing"),
+            );
+        }
+        require_num(errors, file, doc, "compiled", "fullchain_warm_speedup");
+        // The calibration-reuse gate: with its table cached, full-chain
+        // cosim must beat the monolithic full chain.
+        let speedup = doc
+            .get("compiled")
+            .and_then(|c| c.get("fullchain_warm_speedup"))
+            .and_then(Json::as_f64);
+        if let Some(speedup) = speedup {
+            check(
+                errors,
+                file,
+                speedup > 1.0,
+                &format!("warm full-chain cosim speedup {speedup:.2}x does not beat the monolithic engine"),
             );
         }
     }
@@ -365,9 +398,10 @@ fn validate_file(errors: &mut Vec<Violation>, file: &str) {
     }
     match doc.get("schema").and_then(Json::as_str) {
         Some("implant-bench-serve/1") => validate_serve(errors, file, &doc),
-        Some("implant-bench-kernels/1") => validate_kernels(errors, file, &doc, false, false),
-        Some("implant-bench-kernels/2") => validate_kernels(errors, file, &doc, true, false),
-        Some("implant-bench-kernels/3") => validate_kernels(errors, file, &doc, true, true),
+        Some("implant-bench-kernels/1") => validate_kernels(errors, file, &doc, 1),
+        Some("implant-bench-kernels/2") => validate_kernels(errors, file, &doc, 2),
+        Some("implant-bench-kernels/3") => validate_kernels(errors, file, &doc, 3),
+        Some("implant-bench-kernels/4") => validate_kernels(errors, file, &doc, 4),
         Some("implant-bench-cluster/1") => validate_cluster(errors, file, &doc),
         Some("implant-bench-fanin/1") => validate_fanin(errors, file, &doc),
         Some("implant-bench-scenario/1") => validate_scenario(errors, file, &doc),
@@ -500,7 +534,7 @@ mod tests {
     fn kernels2_errors(text: &str) -> Vec<String> {
         let doc = Json::parse(text).expect("test doc parses");
         let mut errors = Vec::new();
-        validate_kernels(&mut errors, "test.json", &doc, true, false);
+        validate_kernels(&mut errors, "test.json", &doc, 2);
         errors.into_iter().map(|Violation(_, reason)| reason).collect()
     }
 
@@ -565,7 +599,7 @@ mod tests {
     fn kernels3_errors(text: &str) -> Vec<String> {
         let doc = Json::parse(text).expect("test doc parses");
         let mut errors = Vec::new();
-        validate_kernels(&mut errors, "test.json", &doc, true, true);
+        validate_kernels(&mut errors, "test.json", &doc, 3);
         errors.into_iter().map(|Violation(_, reason)| reason).collect()
     }
 
@@ -601,6 +635,74 @@ mod tests {
             kernels3_errors(&doc).iter().any(|r| r.contains("compiled.cosim_speedup")),
             "{:?}",
             kernels3_errors(&doc)
+        );
+    }
+
+    /// A minimal artifact satisfying every `implant-bench-kernels/4`
+    /// check: /3 plus the warm-table kernels and their gate.
+    fn kernels4_doc() -> String {
+        kernels3_doc()
+            .replace(
+                r#""fig11_interp":"#,
+                r#""fullchain_cosim":{"runs":2,"p50_us":90000.0,"p95_us":91000.0,"p99_us":92000.0},
+              "fig11_cosim_warm":{"runs":2,"p50_us":9000.0,"p95_us":9100.0,"p99_us":9200.0},
+              "fullchain_cosim_warm":{"runs":2,"p50_us":100.0,"p95_us":110.0,"p99_us":120.0},
+              "fig11_interp":"#,
+            )
+            .replace(
+                r#""cosim_speedup":12.5"#,
+                r#""cosim_speedup":12.5,"fullchain_warm_speedup":200.0"#,
+            )
+            .replace("implant-bench-kernels/3", "implant-bench-kernels/4")
+    }
+
+    fn kernels4_errors(text: &str) -> Vec<String> {
+        let doc = Json::parse(text).expect("test doc parses");
+        let mut errors = Vec::new();
+        validate_kernels(&mut errors, "test.json", &doc, 4);
+        errors
+            .into_iter()
+            .map(|Violation(_, reason)| reason)
+            .collect()
+    }
+
+    #[test]
+    fn well_formed_kernels4_artifact_validates() {
+        assert_eq!(kernels4_errors(&kernels4_doc()), Vec::<String>::new());
+    }
+
+    #[test]
+    fn kernels4_slow_warm_fullchain_is_rejected() {
+        let doc = kernels4_doc().replace(
+            r#""fullchain_warm_speedup":200.0"#,
+            r#""fullchain_warm_speedup":0.6"#,
+        );
+        assert!(
+            kernels4_errors(&doc)
+                .iter()
+                .any(|r| r.contains("does not beat the monolithic")),
+            "{:?}",
+            kernels4_errors(&doc)
+        );
+    }
+
+    #[test]
+    fn kernels4_missing_warm_kernel_is_rejected() {
+        let doc = kernels4_doc().replace(r#""fullchain_cosim_warm""#, r#""fullchain_other""#);
+        assert!(
+            kernels4_errors(&doc)
+                .iter()
+                .any(|r| r.contains("fullchain_cosim_warm")),
+            "{:?}",
+            kernels4_errors(&doc)
+        );
+        let doc = kernels4_doc().replace(r#","fullchain_warm_speedup":200.0"#, "");
+        assert!(
+            kernels4_errors(&doc)
+                .iter()
+                .any(|r| r.contains("compiled.fullchain_warm_speedup")),
+            "{:?}",
+            kernels4_errors(&doc)
         );
     }
 

@@ -16,19 +16,61 @@
 //! and then walks the pinned storage voltage through the calibration
 //! grid, measuring charging current, input amplitude and supply power
 //! per plateau.
+//!
+//! Both calibrations depend only on the link front-end, not on the
+//! load, bit patterns or run length, so the `run_cosim_with` variants
+//! take a [`CalibrationCache`] and reuse a table across requests that
+//! share its identity; `run_cosim` is the same path with a fresh cache.
 
-use crate::fullchain::FullChainScenario;
+use crate::fullchain::{ChainFrontEnd, FullChainScenario};
 use crate::scenario::{Fig11Outcome, Fig11Scenario};
 use analog::source::Pwl;
 use analog::{Circuit, SimError, SourceFn, TranConfig, Waveform};
 use comms::bits::BitStream;
 use comms::lsk::LskDetector;
-use cosim::fig11::{Fig11CosimSpec, PmuDomain, PORT_I_CHG, PORT_LSK, PORT_VI_ENV, PORT_VO};
+use cosim::calibration::{calibrate_cached, debug_key, TABLE_CACHE_CAPACITY};
+use cosim::fig11::{
+    Fig11CosimSpec, PmuDomain, RectifierTable, PORT_I_CHG, PORT_LSK, PORT_VI_ENV, PORT_VO,
+};
 use cosim::{Cosim, Domain, Exchange, Port, SchedulePort};
 pub use cosim::{CosimError, CosimStats, RatePlan};
 use pmu::demodulator::ClockedDemodulator;
 use pmu::V_O_MIN;
-use runtime::{Batch, Pool};
+use runtime::{Artifact, Batch, Json, ParamPoint, Pool, ResultCache};
+
+/// Calibration tables reused across co-simulated runs, keyed by the
+/// inputs their probes read. Bounded at [`TABLE_CACHE_CAPACITY`] tables
+/// of each kind, oldest evicted first.
+pub struct CalibrationCache {
+    rectifier: ResultCache<RectifierTable>,
+    chain: ResultCache<ChainTable>,
+}
+
+impl CalibrationCache {
+    /// An empty cache.
+    pub fn new() -> Self {
+        CalibrationCache {
+            rectifier: ResultCache::bounded(TABLE_CACHE_CAPACITY),
+            chain: ResultCache::bounded(TABLE_CACHE_CAPACITY),
+        }
+    }
+
+    /// Tables currently held, both kinds together.
+    pub fn len(&self) -> usize {
+        self.rectifier.len() + self.chain.len()
+    }
+
+    /// True when no table is held.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl Default for CalibrationCache {
+    fn default() -> Self {
+        CalibrationCache::new()
+    }
+}
 
 /// What a co-simulated run cost, alongside its outcome.
 #[derive(Debug, Clone, Copy)]
@@ -36,7 +78,8 @@ pub struct CosimReport {
     /// Scheduler counters: macro-steps, relaxation iterations, worst
     /// residual.
     pub stats: CosimStats,
-    /// Carrier-rate calibration probes spent.
+    /// Carrier-rate calibration probes spent (0 when the table was
+    /// reused).
     pub probes: u64,
 }
 
@@ -66,23 +109,26 @@ impl Fig11Scenario {
     /// Calibration failures and relaxation divergence as
     /// [`CosimError`].
     pub fn run_cosim(&self, pool: &Pool) -> Result<Fig11Outcome, CosimError> {
-        self.run_cosim_detailed(pool).map(|(outcome, _)| outcome)
+        self.run_cosim_with(pool, &CalibrationCache::new())
+            .map(|(outcome, _)| outcome)
     }
 
-    /// Like [`run_cosim`](Fig11Scenario::run_cosim), also returning the
-    /// cost counters.
+    /// Like [`run_cosim`](Fig11Scenario::run_cosim), reusing the link
+    /// table from `tables` when it holds one for this scenario's
+    /// front-end, and also returning the cost counters.
     ///
     /// # Errors
     ///
     /// Calibration failures and relaxation divergence as
     /// [`CosimError`].
-    pub fn run_cosim_detailed(
+    pub fn run_cosim_with(
         &self,
         pool: &Pool,
+        tables: &CalibrationCache,
     ) -> Result<(Fig11Outcome, CosimReport), CosimError> {
         let _span = obs::span!("fig11.cosim");
         let spec = self.cosim_spec();
-        let run = cosim::run_fig11(&spec, &RatePlan::fig11(), pool)?;
+        let run = cosim::run_fig11_cached(&spec, &RatePlan::fig11(), pool, &tables.rectifier)?;
         let outcome = self.evaluate_traces(run.vo, run.vi_env, run.vdem);
         Ok((outcome, CosimReport { stats: run.stats, probes: run.probes }))
     }
@@ -126,6 +172,26 @@ impl ChainRow {
     }
 }
 
+impl Artifact for ChainRow {
+    fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("vo", self.vo.to_json()),
+            ("i", self.i.to_json()),
+            ("vi", self.vi.to_json()),
+            ("p", self.p.to_json()),
+        ])
+    }
+
+    fn from_json(json: &Json) -> Option<Self> {
+        Some(ChainRow {
+            vo: Artifact::from_json(json.get("vo")?)?,
+            i: Artifact::from_json(json.get("i")?)?,
+            vi: Artifact::from_json(json.get("vi")?)?,
+            p: Artifact::from_json(json.get("p")?)?,
+        })
+    }
+}
+
 /// The full chain reduced to two [`ChainRow`]s — rectifier connected
 /// and LSK-shorted — calibrated by one staircase probe each.
 #[derive(Debug, Clone)]
@@ -135,10 +201,47 @@ struct ChainTable {
     probes: u64,
 }
 
+impl Artifact for ChainTable {
+    fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("connected", self.connected.to_json()),
+            ("shorted", self.shorted.to_json()),
+            ("probes", self.probes.to_json()),
+        ])
+    }
+
+    fn from_json(json: &Json) -> Option<Self> {
+        Some(ChainTable {
+            connected: Artifact::from_json(json.get("connected")?)?,
+            shorted: Artifact::from_json(json.get("shorted")?)?,
+            probes: json.get("probes")?.as_u64()?,
+        })
+    }
+}
+
+/// Cache namespace of full-chain tables.
+const CHAIN_TABLE_NAMESPACE: &str = "cosim-chain-table";
+
+/// The cache identity of a chain table: every field of the front-end
+/// its probes build, at full precision.
+fn chain_cache_point(front_end: &ChainFrontEnd) -> ParamPoint {
+    let ChainFrontEnd {
+        design,
+        pair,
+        distance,
+        rectifier,
+    } = front_end;
+    ParamPoint::new()
+        .with("design", debug_key(design))
+        .with("pair", debug_key(pair))
+        .with("distance", *distance)
+        .with("rectifier", debug_key(rectifier))
+}
+
 impl ChainTable {
     /// Runs the two staircase probes (concurrently when the pool has
     /// workers to spare) and assembles the table.
-    fn calibrate(scenario: &FullChainScenario, pool: &Pool) -> Result<Self, CosimError> {
+    fn calibrate(front_end: &ChainFrontEnd, pool: &Pool) -> Result<Self, CosimError> {
         let _span = obs::span!("cosim.chain_calibrate");
         // Dense above 2 V for the same reason as the Fig. 11 table: the
         // clamp-stack leakage is exponential there and linear
@@ -151,8 +254,9 @@ impl ChainTable {
         let batch = Batch::builder("cosim-chain-calibrate").seed(0).trials(jobs.len()).build();
         let run = pool.run(&batch, |ctx| {
             let (grid, shorted) = &jobs[ctx.index];
-            chain_probe(scenario, grid, *shorted)
+            chain_probe(front_end, grid, *shorted)
         });
+        obs::count!("cosim.calibration.probes", jobs.len() as u64);
         let mut rows: Vec<ChainRow> = Vec::with_capacity(jobs.len());
         for result in run.results {
             match result.outcome {
@@ -183,11 +287,11 @@ impl ChainTable {
 /// storage node pinned by a PWL staircase, measured over the trailing
 /// cycles of each plateau.
 fn chain_probe(
-    scenario: &FullChainScenario,
+    front_end: &ChainFrontEnd,
     grid: &[f64],
     shorted: bool,
 ) -> Result<ChainRow, SimError> {
-    let period = 1.0 / scenario.design.frequency;
+    let period = 1.0 / front_end.design.frequency;
     let mut points: Vec<(f64, f64)> = vec![(0.0, grid[0])];
     let mut plateau_ends: Vec<f64> = Vec::with_capacity(grid.len());
     let mut t = RING_CYCLES * period;
@@ -206,7 +310,7 @@ fn chain_probe(
     } else {
         (SourceFn::dc(0.0), SourceFn::dc(1.8))
     };
-    let (mut ckt, nodes) = scenario.build_chain(m1, m2);
+    let (mut ckt, nodes) = front_end.build(m1, m2);
     ckt.voltage_source("Vpin", nodes.vo, Circuit::GND, SourceFn::pwl(points));
     let sim = ckt.compile()?;
     let cfg = TranConfig::builder(t).max_step(period / 40.0).build();
@@ -226,7 +330,8 @@ fn chain_probe(
         // power records positive current, so charging reads positive.
         row.i.push(i_pin.average_in(w0, end));
         row.vi.push(v_in.max_in(w0, end));
-        row.p.push(scenario.design.vdd * i_vdd.map(|i| -i).average_in(w0, end));
+        row.p
+            .push(front_end.design.vdd * i_vdd.map(|i| -i).average_in(w0, end));
     }
     Ok(row)
 }
@@ -324,7 +429,8 @@ pub struct FullChainCosimOutcome {
     pub t_window: (f64, f64),
     /// Scheduler counters.
     pub stats: CosimStats,
-    /// Carrier-rate staircase probes spent (one per gate state).
+    /// Carrier-rate staircase probes spent (one per gate state; 0 when
+    /// the table was reused).
     pub probes: u64,
 }
 
@@ -365,6 +471,23 @@ impl FullChainScenario {
     /// Calibration failures and relaxation divergence as
     /// [`CosimError`].
     pub fn run_cosim(&self, pool: &Pool) -> Result<FullChainCosimOutcome, CosimError> {
+        self.run_cosim_with(pool, &CalibrationCache::new())
+    }
+
+    /// Like [`run_cosim`](FullChainScenario::run_cosim), reusing the
+    /// staircase table from `tables` when it holds one for this chain's
+    /// front-end (design, coils, distance, rectifier). The outcome is
+    /// bit-identical either way.
+    ///
+    /// # Errors
+    ///
+    /// Calibration failures and relaxation divergence as
+    /// [`CosimError`].
+    pub fn run_cosim_with(
+        &self,
+        pool: &Pool,
+        tables: &CalibrationCache,
+    ) -> Result<FullChainCosimOutcome, CosimError> {
         let _span = obs::span!("fullchain.cosim");
         // The chain charges hardest in the very first windows (vo ≈ 0,
         // small effective source resistance), where relaxation contracts
@@ -373,13 +496,19 @@ impl FullChainScenario {
         plan.max_iterations = 32;
         let period = 1.0 / self.design.frequency;
         let t_stop = self.cycles as f64 * period;
-        let table = ChainTable::calibrate(self, pool)?;
-        let probes = table.probes;
+        let front_end = self.front_end();
+        let (table, hit) = calibrate_cached(
+            &tables.chain,
+            CHAIN_TABLE_NAMESPACE,
+            &chain_cache_point(&front_end),
+            || ChainTable::calibrate(&front_end, pool),
+        )?;
+        let probes = if hit { 0 } else { table.probes };
         let schedule = self.uplink.as_ref().map(|(bits, start, rate)| {
             lsk_schedule(bits, *start, *rate)
         });
 
-        let mut sim = Cosim::new(plan, 0xC051_FC11);
+        let mut sim = Cosim::new(plan);
         sim.seed_port(PORT_VI_ENV, 0.0, 0.0, 1.0);
         sim.seed_port(PORT_I_CHG, 0.0, 0.0, 1.0 / MATCH_R_OHMS);
         sim.seed_port(PORT_VO, 0.0, 0.0, 1.0);
@@ -397,7 +526,7 @@ impl FullChainScenario {
         if let Some(wave) = schedule.clone() {
             sim.add_domain(Box::new(SchedulePort::new(PORT_LSK, wave, plan.envelope_dt)));
         }
-        let stats = sim.run(pool, 0.0, t_stop)?;
+        let stats = sim.run(0.0, t_stop)?;
 
         let vo = sim.bus().waveform(PORT_VO).expect("vo committed");
         let vi_env = sim.bus().waveform(PORT_VI_ENV).expect("vi committed");

@@ -86,15 +86,98 @@ impl FullChainScenario {
             }
             None => (SourceFn::dc(0.0), SourceFn::dc(1.8)),
         };
-        let (mut ckt, nodes) = self.build_chain(m1, m2);
+        let (mut ckt, nodes) = self.front_end().build(m1, m2);
         ckt.resistor("Rload", nodes.vo, Circuit::GND, self.r_load);
         ckt
     }
 
-    /// The chain up to (and including) the rectifier, with explicit gate
-    /// drives and *no* output load — the co-simulation probes pin `vo`
-    /// with a staircase source instead (see [`crate::cosim`]).
-    pub(crate) fn build_chain(
+    /// The load-independent part of the chain.
+    pub(crate) fn front_end(&self) -> ChainFrontEnd {
+        ChainFrontEnd {
+            design: self.design,
+            pair: self.pair,
+            distance: self.distance,
+            rectifier: self.rectifier.clone(),
+        }
+    }
+
+    /// Runs the chain and measures the end-to-end power flow.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulation failures.
+    pub fn run(&self) -> Result<FullChainOutcome, SimError> {
+        let f = self.design.frequency;
+        let period = 1.0 / f;
+        let t_stop = self.cycles as f64 * period;
+        let ckt = {
+            let _build = obs::span!("fullchain.build");
+            self.build()
+        };
+        let sim = {
+            let _compile = obs::span!("fullchain.compile");
+            ckt.compile()?
+        };
+        let cfg = TranConfig::builder(t_stop).max_step(period / 40.0).build();
+        let res = {
+            let _transient = obs::span!("fullchain.transient");
+            sim.tran(&cfg)?
+        };
+        let _measure = obs::span!("fullchain.measure");
+        let vo = res.trace("vo").expect("vo traced");
+        let vi = res.trace("vi").expect("vi traced");
+        let drain = res.trace("drain").expect("drain traced");
+        let i_vdd = res.current_trace("VDD").expect("supply current");
+        let (t0, t1) = (0.8 * t_stop, t_stop);
+        let p_load = vo.map(|v| v * v / self.r_load).average_in(t0, t1);
+        let p_supply = self.design.vdd * i_vdd.map(|i| -i).average_in(t0, t1);
+        // Patch-side uplink detection on the supply current (the R9
+        // sense): low-pass the magnitude over a few carrier cycles and
+        // slice at the bit rate.
+        let uplink_detected = self.uplink.as_ref().map(|(bits, start, rate)| {
+            let sense = i_vdd.map(f64::abs).envelope(4.0 * period);
+            // Inverted polarity: shorting *after* the tapped-C match
+            // detunes the secondary, lowering the reflected resistance —
+            // so a shorted (0) bit RAISES the PA supply current here.
+            // (See `LskDetector::invert` for the two conventions.)
+            let det = LskDetector {
+                bit_rate: *rate,
+                processing_time: 1e-9,
+                sample_phase: 0.6,
+                invert: true,
+            };
+            det.detect_averaging(&sense, *start, bits.len())
+        });
+        Ok(FullChainOutcome {
+            vo,
+            vi,
+            drain,
+            p_load,
+            p_supply,
+            uplink_detected,
+            t_window: (t0, t1),
+        })
+    }
+}
+
+/// The chain up to (and including) the rectifier: everything a
+/// full-chain netlist holds except the DC load and the gate schedule.
+/// The co-simulation calibrates against exactly this (see
+/// [`crate::cosim`]), so it is also the identity its table is cached
+/// under.
+#[derive(Debug, Clone)]
+pub(crate) struct ChainFrontEnd {
+    pub(crate) design: ClassEDesign,
+    pub(crate) pair: CoilPair,
+    pub(crate) distance: f64,
+    pub(crate) rectifier: RectifierCircuit,
+}
+
+impl ChainFrontEnd {
+    /// Builds the front-end with explicit gate drives and *no* output
+    /// load — the co-simulation probes pin `vo` with a staircase source
+    /// instead.
+    pub(crate) fn build(
         &self,
         m1: SourceFn,
         m2: SourceFn,
@@ -161,64 +244,6 @@ impl FullChainScenario {
         ckt.capacitor("CB", vi, Circuit::GND, m.cb);
         let nodes = self.rectifier.build(&mut ckt, vi, m1, m2);
         (ckt, nodes)
-    }
-
-    /// Runs the chain and measures the end-to-end power flow.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation failures.
-    pub fn run(&self) -> Result<FullChainOutcome, SimError> {
-        let f = self.design.frequency;
-        let period = 1.0 / f;
-        let t_stop = self.cycles as f64 * period;
-        let ckt = {
-            let _build = obs::span!("fullchain.build");
-            self.build()
-        };
-        let sim = {
-            let _compile = obs::span!("fullchain.compile");
-            ckt.compile()?
-        };
-        let cfg = TranConfig::builder(t_stop).max_step(period / 40.0).build();
-        let res = {
-            let _transient = obs::span!("fullchain.transient");
-            sim.tran(&cfg)?
-        };
-        let _measure = obs::span!("fullchain.measure");
-        let vo = res.trace("vo").expect("vo traced");
-        let vi = res.trace("vi").expect("vi traced");
-        let drain = res.trace("drain").expect("drain traced");
-        let i_vdd = res.current_trace("VDD").expect("supply current");
-        let (t0, t1) = (0.8 * t_stop, t_stop);
-        let p_load = vo.map(|v| v * v / self.r_load).average_in(t0, t1);
-        let p_supply = self.design.vdd * i_vdd.map(|i| -i).average_in(t0, t1);
-        // Patch-side uplink detection on the supply current (the R9
-        // sense): low-pass the magnitude over a few carrier cycles and
-        // slice at the bit rate.
-        let uplink_detected = self.uplink.as_ref().map(|(bits, start, rate)| {
-            let sense = i_vdd.map(f64::abs).envelope(4.0 * period);
-            // Inverted polarity: shorting *after* the tapped-C match
-            // detunes the secondary, lowering the reflected resistance —
-            // so a shorted (0) bit RAISES the PA supply current here.
-            // (See `LskDetector::invert` for the two conventions.)
-            let det = LskDetector {
-                bit_rate: *rate,
-                processing_time: 1e-9,
-                sample_phase: 0.6,
-                invert: true,
-            };
-            det.detect_averaging(&sense, *start, bits.len())
-        });
-        Ok(FullChainOutcome {
-            vo,
-            vi,
-            drain,
-            p_load,
-            p_supply,
-            uplink_detected,
-            t_window: (t0, t1),
-        })
     }
 }
 

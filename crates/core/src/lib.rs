@@ -39,7 +39,7 @@ pub mod report;
 pub mod scenario;
 pub mod system;
 
-pub use cosim::{CosimError, CosimReport, FullChainCosimOutcome, RatePlan};
+pub use cosim::{CalibrationCache, CosimError, CosimReport, FullChainCosimOutcome, RatePlan};
 pub use fullchain::{FullChainOutcome, FullChainScenario};
 pub use montecarlo::{MonteCarloStudy, VariationModel, YieldReport};
 pub use scenario::{Fig11Outcome, Fig11Scenario};

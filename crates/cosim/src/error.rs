@@ -29,7 +29,8 @@ pub enum CosimError {
     MissingPort(String),
     /// The rate plan is unusable (non-positive steps, zero iterations).
     InvalidPlan(String),
-    /// A domain panicked inside the pool; the payload is preserved.
+    /// A domain (or a calibration probe) panicked; the payload is
+    /// preserved.
     Panicked {
         /// Which domain panicked.
         domain: String,

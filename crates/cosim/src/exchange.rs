@@ -11,6 +11,13 @@
 //! macro-step starts from a defined value rather than an empty read —
 //! end-clamped sampling then doubles as the constant extrapolation that
 //! opens every subsequent macro-step.
+//!
+//! Relaxation iterates live on the bus itself: the scheduler appends a
+//! window's proposals *tentatively* ([`Exchange::propose`]) and rolls
+//! back to the committed length of every port before the next iterate
+//! ([`Exchange::rollback`]), then either accepts the converged iterate
+//! ([`Exchange::accept`]) or rolls back on failure. No iterate ever
+//! copies the history, so an iteration costs O(window), not O(run).
 
 use crate::error::CosimError;
 use analog::Waveform;
@@ -45,19 +52,26 @@ impl Port {
 }
 
 /// A growable sampled waveform with linear interpolation and
-/// end-clamping.
+/// end-clamping. Samples past the committed length are tentative: the
+/// current relaxation iterate, dropped again by a rollback.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExchangeBuffer {
     times: Vec<f64>,
     values: Vec<f64>,
     tol_scale: f64,
+    committed: usize,
 }
 
 impl ExchangeBuffer {
     /// A buffer seeded with one sample at `t0`.
     pub fn seeded(t0: f64, value: f64, tol_scale: f64) -> Self {
         assert!(tol_scale > 0.0 && tol_scale.is_finite(), "tol_scale must be positive");
-        ExchangeBuffer { times: vec![t0], values: vec![value], tol_scale }
+        ExchangeBuffer {
+            times: vec![t0],
+            values: vec![value],
+            tol_scale,
+            committed: 1,
+        }
     }
 
     /// Linear interpolation at `t`, clamped to the first/last sample
@@ -81,6 +95,12 @@ impl ExchangeBuffer {
     /// Appends a committed segment (samples must continue past the
     /// buffer's end).
     pub fn append(&mut self, port: &Port) {
+        self.extend(port);
+        self.committed = self.times.len();
+    }
+
+    /// Appends a tentative segment, dropped again by the next rollback.
+    fn extend(&mut self, port: &Port) {
         let mut last = *self.times.last().expect("buffer is never empty");
         for (&t, &v) in port.times.iter().zip(&port.values) {
             assert!(t > last, "port `{}` rewinds the exchange buffer", port.name);
@@ -88,6 +108,12 @@ impl ExchangeBuffer {
             self.values.push(v);
             last = t;
         }
+    }
+
+    /// Drops every tentative sample.
+    fn rollback(&mut self) {
+        self.times.truncate(self.committed);
+        self.values.truncate(self.committed);
     }
 
     /// Time of the last committed sample.
@@ -116,8 +142,9 @@ impl ExchangeBuffer {
     }
 }
 
-/// The exchange bus: every boundary port's committed history plus, on
-/// relaxation snapshots, the previous iterate's proposals.
+/// The exchange bus: every boundary port's committed history plus,
+/// while a macro-step relaxes, the previous iterate's tentative
+/// proposals.
 #[derive(Debug, Clone, Default)]
 pub struct Exchange {
     ports: BTreeMap<String, ExchangeBuffer>,
@@ -160,20 +187,37 @@ impl Exchange {
         self.ports.get(name).map(ExchangeBuffer::waveform)
     }
 
-    /// Appends a converged segment to its port.
+    /// Appends an iterate's segment tentatively: readers see it until
+    /// the next [`rollback`](Exchange::rollback) or
+    /// [`accept`](Exchange::accept).
     ///
     /// # Errors
     ///
     /// [`CosimError::MissingPort`] when the proposal names an unseeded
     /// port.
-    pub fn commit(&mut self, port: &Port) -> Result<(), CosimError> {
-        match self.ports.get_mut(&port.name) {
-            Some(buffer) => {
-                buffer.append(port);
-                Ok(())
-            }
-            None => Err(CosimError::MissingPort(port.name.clone())),
+    pub(crate) fn propose(&mut self, port: &Port) -> Result<(), CosimError> {
+        self.writer(&port.name)?.extend(port);
+        Ok(())
+    }
+
+    /// Drops every tentative sample, back to the committed history.
+    pub(crate) fn rollback(&mut self) {
+        for buffer in self.ports.values_mut() {
+            buffer.rollback();
         }
+    }
+
+    /// Commits every tentative sample.
+    pub(crate) fn accept(&mut self) {
+        for buffer in self.ports.values_mut() {
+            buffer.committed = buffer.times.len();
+        }
+    }
+
+    fn writer(&mut self, name: &str) -> Result<&mut ExchangeBuffer, CosimError> {
+        self.ports
+            .get_mut(name)
+            .ok_or_else(|| CosimError::MissingPort(name.to_string()))
     }
 
     /// Scaled residual between a proposal and this bus: the maximum over
@@ -230,12 +274,46 @@ mod tests {
     }
 
     #[test]
-    fn commit_extends_the_waveform_view() {
+    fn rollback_drops_only_tentative_samples() {
+        let mut bus = Exchange::new();
+        bus.seed("v", 0.0, 1.0, 1.0);
+        let mut first = Port::new("v");
+        first.push(1.0, 2.0);
+        bus.propose(&first).unwrap();
+        bus.accept();
+        let mut iterate = Port::new("v");
+        iterate.push(2.0, 5.0);
+        bus.propose(&iterate).unwrap();
+        assert_eq!(
+            bus.reader("v").unwrap().sample(2.0),
+            5.0,
+            "readers see the iterate"
+        );
+        bus.rollback();
+        let v = bus.reader("v").unwrap();
+        assert_eq!((v.len(), v.end_time(), v.sample(2.0)), (2, 1.0, 2.0));
+        bus.propose(&iterate).unwrap();
+        bus.accept();
+        bus.rollback();
+        assert_eq!(
+            bus.reader("v").unwrap().len(),
+            3,
+            "accepted samples survive a rollback"
+        );
+        assert!(matches!(
+            bus.propose(&Port::new("missing")),
+            Err(CosimError::MissingPort(_))
+        ));
+    }
+
+    #[test]
+    fn accepted_proposals_extend_the_waveform_view() {
         let mut bus = Exchange::new();
         bus.seed("v", 0.0, 2.0, 1.0);
         let mut port = Port::new("v");
         port.push(1.0e-6, 2.5);
-        bus.commit(&port).unwrap();
+        bus.propose(&port).unwrap();
+        bus.accept();
         let w = bus.waveform("v").unwrap();
         assert_eq!(w.value_at(0.5e-6), 2.25);
         assert_eq!(bus.reader("v").unwrap().end_time(), 1.0e-6);

@@ -15,7 +15,13 @@
 //! off). The probes run concurrently on the pool and are the only
 //! carrier-rate work in a co-simulation — everything after is
 //! envelope-rate, which is where the speedup comes from.
+//!
+//! The table depends only on the rectifier, idle amplitude, source
+//! resistance and probe step (`RectifierProbeSpec`), so
+//! [`run_fig11_cached`] reuses it across requests that differ only in
+//! load, bit patterns or duration (see [`crate::calibration`]).
 
+use crate::calibration::{calibrate_cached, debug_key};
 use crate::domain::Domain;
 use crate::error::CosimError;
 use crate::exchange::{Exchange, Port};
@@ -27,7 +33,7 @@ use comms::bits::BitStream;
 use pmu::demodulator::{ClockedDemodulator, TwoPhaseClock};
 use pmu::rectifier::RectifierCircuit;
 use pmu::V_CLAMP;
-use runtime::{Batch, Pool};
+use runtime::{Artifact, Batch, Json, ParamPoint, Pool, ResultCache};
 
 /// Bus port: carrier-envelope peak at the rectifier input, volts.
 pub const PORT_VI_ENV: &str = "vi_env";
@@ -87,6 +93,51 @@ impl Fig11CosimSpec {
     /// structure as the monolithic scenario).
     pub fn ask(&self) -> AskModulator {
         AskModulator::ironic_downlink().scaled(self.idle_amplitude)
+    }
+
+    /// The inputs the link calibration reads.
+    fn probe_spec(&self) -> RectifierProbeSpec {
+        RectifierProbeSpec {
+            rectifier: self.rectifier.clone(),
+            idle_amplitude: self.idle_amplitude,
+            r_source: self.r_source,
+            max_step: self.max_step,
+        }
+    }
+}
+
+/// Everything the Fig. 11 calibration probes read, and so the identity a
+/// [`RectifierTable`] is cached under.
+#[derive(Debug, Clone)]
+struct RectifierProbeSpec {
+    rectifier: RectifierCircuit,
+    idle_amplitude: f64,
+    r_source: f64,
+    max_step: f64,
+}
+
+impl RectifierProbeSpec {
+    /// Cache namespace of rectifier tables.
+    const NAMESPACE: &'static str = "cosim-rectifier-table";
+
+    /// The ASK levels the probe grid is laid on.
+    fn ask(&self) -> AskModulator {
+        AskModulator::ironic_downlink().scaled(self.idle_amplitude)
+    }
+
+    /// The cache identity: every field, at full precision.
+    fn cache_point(&self) -> ParamPoint {
+        let RectifierProbeSpec {
+            rectifier,
+            idle_amplitude,
+            r_source,
+            max_step,
+        } = self;
+        ParamPoint::new()
+            .with("rectifier", debug_key(rectifier))
+            .with("idle_amplitude", *idle_amplitude)
+            .with("r_source", *r_source)
+            .with("max_step", *max_step)
     }
 }
 
@@ -165,6 +216,10 @@ impl RectifierTable {
     /// [`CosimError::Domain`] when a probe transient fails,
     /// [`CosimError::Panicked`] when one panics.
     pub fn calibrate(spec: &Fig11CosimSpec, pool: &Pool) -> Result<Self, CosimError> {
+        Self::calibrate_probe(&spec.probe_spec(), pool)
+    }
+
+    fn calibrate_probe(spec: &RectifierProbeSpec, pool: &Pool) -> Result<Self, CosimError> {
         let _span = obs::span!("cosim.calibrate");
         let ask = spec.ask();
         // Per-amplitude Vo grids. Every row must resolve 2–3 V finely:
@@ -197,6 +252,7 @@ impl RectifierTable {
             let (amp, vo, short) = points[ctx.index];
             probe(spec, ask.carrier_hz, amp, vo, short)
         });
+        obs::count!("cosim.calibration.probes", points.len() as u64);
         let mut measured: Vec<(f64, f64)> = Vec::with_capacity(points.len());
         for result in run.results {
             match result.outcome {
@@ -236,11 +292,53 @@ impl RectifierTable {
     }
 }
 
+impl Artifact for AmpRow {
+    fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("amp", self.amp.to_json()),
+            ("vo", self.vo.to_json()),
+            ("i", self.i.to_json()),
+            ("vi", self.vi.to_json()),
+        ])
+    }
+
+    fn from_json(json: &Json) -> Option<Self> {
+        Some(AmpRow {
+            amp: json.get("amp")?.as_f64()?,
+            vo: Artifact::from_json(json.get("vo")?)?,
+            i: Artifact::from_json(json.get("i")?)?,
+            vi: Artifact::from_json(json.get("vi")?)?,
+        })
+    }
+}
+
+impl Artifact for RectifierTable {
+    fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("rows", self.rows.to_json()),
+            ("short_vo", self.short_vo.to_json()),
+            ("short_i", self.short_i.to_json()),
+            ("vi_short_ratio", self.vi_short_ratio.to_json()),
+            ("probes", self.probes.to_json()),
+        ])
+    }
+
+    fn from_json(json: &Json) -> Option<Self> {
+        Some(RectifierTable {
+            rows: Artifact::from_json(json.get("rows")?)?,
+            short_vo: Artifact::from_json(json.get("short_vo")?)?,
+            short_i: Artifact::from_json(json.get("short_i")?)?,
+            vi_short_ratio: json.get("vi_short_ratio")?.as_f64()?,
+            probes: json.get("probes")?.as_u64()?,
+        })
+    }
+}
+
 /// One carrier-rate calibration probe: the rectifier with Vo pinned,
 /// driven by a plain sine; returns the cycle-averaged pin current and
 /// the input peak over the trailing periods.
 fn probe(
-    spec: &Fig11CosimSpec,
+    spec: &RectifierProbeSpec,
     carrier_hz: f64,
     amp: f64,
     vo: f64,
@@ -550,7 +648,8 @@ pub struct Fig11CosimRun {
     pub probes: u64,
 }
 
-/// Runs the partitioned Fig. 11 co-simulation on `pool`.
+/// Runs the partitioned Fig. 11 co-simulation, calibrating on `pool`
+/// from scratch.
 ///
 /// # Errors
 ///
@@ -561,14 +660,39 @@ pub fn run_fig11(
     plan: &RatePlan,
     pool: &Pool,
 ) -> Result<Fig11CosimRun, CosimError> {
+    run_fig11_cached(spec, plan, pool, &ResultCache::bounded(0))
+}
+
+/// Runs the partitioned Fig. 11 co-simulation, taking the link table
+/// from `tables` when it holds one for the spec's rectifier, idle
+/// amplitude, source resistance and probe step, and calibrating on
+/// `pool` (then caching the table) otherwise. A cached table reports `probes == 0`; the outcome
+/// is bit-identical either way.
+///
+/// # Errors
+///
+/// Calibration failures, relaxation divergence and plan errors, all as
+/// [`CosimError`].
+pub fn run_fig11_cached(
+    spec: &Fig11CosimSpec,
+    plan: &RatePlan,
+    pool: &Pool,
+    tables: &ResultCache<RectifierTable>,
+) -> Result<Fig11CosimRun, CosimError> {
     let _span = obs::span!("cosim.fig11");
     plan.validate()?;
-    let table = RectifierTable::calibrate(spec, pool)?;
-    let probes = table.probes;
+    let probe = spec.probe_spec();
+    let (table, hit) = calibrate_cached(
+        tables,
+        RectifierProbeSpec::NAMESPACE,
+        &probe.cache_point(),
+        || RectifierTable::calibrate_probe(&probe, pool),
+    )?;
+    let probes = if hit { 0 } else { table.probes };
     let envelope = spec.ask().envelope(&spec.downlink_bits, spec.downlink_start);
     let v0 = spec.rectifier.co_initial.clamp(0.0, V_CLAMP);
 
-    let mut cosim = Cosim::new(*plan, 0xC051_4011);
+    let mut cosim = Cosim::new(*plan);
     cosim.seed_port(PORT_VI_ENV, 0.0, 0.0, 1.0);
     // A converged ampere error should mean the same voltage error
     // everywhere: scale the current port by the source conductance.
@@ -585,7 +709,7 @@ pub fn run_fig11(
     )));
     cosim.add_domain(Box::new(CommsDomain::new(spec, plan)));
 
-    let stats = cosim.run(pool, 0.0, spec.t_stop)?;
+    let stats = cosim.run(0.0, spec.t_stop)?;
     let bus = cosim.bus();
     let vo = bus.waveform(PORT_VO).expect("vo port seeded");
     let vi_env = bus.waveform(PORT_VI_ENV).expect("vi_env port seeded");
@@ -645,6 +769,15 @@ mod tests {
         // Shorted state scales vi with the drive.
         let (i_s, vi_s) = t.shorted(2.0, 1.5);
         assert!(i_s < 0.0 && (vi_s - 0.1).abs() < 1e-12);
+    }
+
+    #[test]
+    fn tables_round_trip_through_json_bit_exactly() {
+        let t = toy_table();
+        let back = RectifierTable::from_json(&t.to_json()).expect("table decodes");
+        assert_eq!(back.to_json(), t.to_json());
+        assert_eq!(back.lookup(2.0, 1.3), t.lookup(2.0, 1.3));
+        assert!(RectifierTable::from_json(&Json::Null).is_none());
     }
 
     #[test]

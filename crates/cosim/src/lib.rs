@@ -17,14 +17,17 @@
 //! current out of the link, storage voltage back from the PMU,
 //! demodulator output and LSK state from comms) over an [`Exchange`]
 //! bus, reconciled by a bounded Jacobi waveform-relaxation loop per
-//! macro-step (see [`Cosim`]). Because every relaxation iteration reads
-//! one immutable bus snapshot, results are bit-identical at any
-//! `IMPLANT_WORKERS` while the per-domain probes and advances still run
-//! concurrently on [`runtime::Pool`].
+//! macro-step (see [`Cosim`]). Relaxation runs inline on the calling
+//! thread, and every domain of an iteration reads the same bus state,
+//! so results are bit-identical at any `IMPLANT_WORKERS`. Only the
+//! carrier-rate calibration probes run concurrently on
+//! [`runtime::Pool`], and their tables are reusable across runs that
+//! share a front-end (see [`calibration`]).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod calibration;
 pub mod domain;
 pub mod error;
 pub mod exchange;
@@ -35,6 +38,6 @@ pub mod scheduler;
 pub use domain::Domain;
 pub use error::CosimError;
 pub use exchange::{Exchange, ExchangeBuffer, Port};
-pub use fig11::{run_fig11, Fig11CosimRun, Fig11CosimSpec, RectifierTable};
+pub use fig11::{run_fig11, run_fig11_cached, Fig11CosimRun, Fig11CosimSpec, RectifierTable};
 pub use schedule::SchedulePort;
 pub use scheduler::{Cosim, CosimStats, RatePlan};

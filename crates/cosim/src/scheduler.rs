@@ -1,19 +1,27 @@
-//! The macro-step scheduler: bounded waveform relaxation over a pool.
+//! The macro-step scheduler: bounded waveform relaxation, evaluated
+//! inline on the calling thread.
 //!
 //! # Determinism
 //!
 //! Each relaxation iteration evaluates every domain against the *same*
-//! immutable bus snapshot (Jacobi, not Gauss–Seidel), so the proposals
-//! are independent of which worker ran which domain and in what order.
-//! The pool returns results in submission order, commits happen in
-//! fixed domain order, and no domain sees a partially updated bus —
-//! which is the whole determinism argument: a co-simulation is
-//! bit-identical at any `IMPLANT_WORKERS`.
+//! bus state (Jacobi, not Gauss–Seidel): the domains run in fixed
+//! order, and the iterate's proposals only reach the bus after all of
+//! them have proposed. No domain sees a partially updated bus, so a
+//! co-simulation is bit-identical at any `IMPLANT_WORKERS` — the worker
+//! count never enters the relaxation at all.
+//!
+//! # Cost
+//!
+//! A domain advance over one window takes microseconds, far less than
+//! handing it to a thread, so the loop stays on the caller's thread.
+//! Iterates are appended to the bus tentatively and rolled back to the
+//! committed length of each port (see [`Exchange`]), so an iteration
+//! costs O(window) however long the committed history grows.
 
 use crate::domain::Domain;
 use crate::error::CosimError;
 use crate::exchange::{Exchange, Port};
-use runtime::{Batch, Pool};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Rates and relaxation bounds of a co-simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,16 +104,18 @@ pub struct CosimStats {
 /// A configured co-simulation: domains, bus and rate plan.
 pub struct Cosim {
     plan: RatePlan,
-    seed: u64,
     domains: Vec<Box<dyn Domain>>,
     bus: Exchange,
 }
 
 impl Cosim {
-    /// A co-simulation with no domains yet. The seed names the run for
-    /// pool batching; domain physics never draws from it.
-    pub fn new(plan: RatePlan, seed: u64) -> Self {
-        Cosim { plan, seed, domains: Vec::new(), bus: Exchange::new() }
+    /// A co-simulation with no domains yet.
+    pub fn new(plan: RatePlan) -> Self {
+        Cosim {
+            plan,
+            domains: Vec::new(),
+            bus: Exchange::new(),
+        }
     }
 
     /// Adds a domain. Order fixes commit order (and nothing else).
@@ -123,14 +133,16 @@ impl Cosim {
         &self.bus
     }
 
-    /// Runs the co-simulation from `t0` to `t_stop`.
+    /// Runs the co-simulation from `t0` to `t_stop`. A failed run
+    /// leaves the bus holding the windows committed before the failure.
     ///
     /// # Errors
     ///
     /// [`CosimError::InvalidPlan`] for a bad plan,
     /// [`CosimError::Diverged`] when a macro-step exhausts its
-    /// iteration guard, plus any domain failure.
-    pub fn run(&mut self, pool: &Pool, t0: f64, t_stop: f64) -> Result<CosimStats, CosimError> {
+    /// iteration guard, [`CosimError::Panicked`] when a domain panics,
+    /// plus any domain failure.
+    pub fn run(&mut self, t0: f64, t_stop: f64) -> Result<CosimStats, CosimError> {
         let _span = obs::span!("cosim.run");
         self.plan.validate()?;
         if t_stop.partial_cmp(&t0) != Some(std::cmp::Ordering::Greater) {
@@ -144,10 +156,11 @@ impl Cosim {
         let eps = 1.0e-12 * t_stop.abs().max(1.0);
         while t < t_stop - eps {
             let t1 = (t + self.plan.macro_step).min(t_stop);
-            let accepted = self.relax_window(pool, t, t1, &mut stats)?;
-            for port in &accepted {
-                self.bus.commit(port)?;
+            if let Err(e) = self.relax_window(t, t1, &mut stats) {
+                self.bus.rollback();
+                return Err(e);
             }
+            self.bus.accept();
             for domain in &mut self.domains {
                 domain.commit(t, t1, &self.bus)?;
             }
@@ -157,57 +170,42 @@ impl Cosim {
         Ok(stats)
     }
 
-    /// Relaxes one macro-step to convergence and returns the accepted
-    /// proposals (flattened, in domain order).
-    fn relax_window(
-        &self,
-        pool: &Pool,
-        t0: f64,
-        t1: f64,
-        stats: &mut CosimStats,
-    ) -> Result<Vec<Port>, CosimError> {
+    /// Relaxes one macro-step to convergence, leaving the accepted
+    /// iterate on the bus as tentative samples for the caller to
+    /// accept (or, on failure, roll back).
+    fn relax_window(&mut self, t0: f64, t1: f64, stats: &mut CosimStats) -> Result<(), CosimError> {
         let _span = obs::span!("cosim.window");
-        let n = self.domains.len();
-        let batch = Batch::builder("cosim-relax").seed(self.seed).trials(n).build();
-        // The snapshot the next iteration reads: committed history plus
-        // the previous iterate's proposals (end-clamped sampling makes
-        // the committed bus itself the constant-extrapolation opener).
-        let mut snapshot = self.bus.clone();
+        // Every iteration reads committed history plus the previous
+        // iterate's proposals (end-clamped sampling makes the committed
+        // bus itself the constant-extrapolation opener).
+        let mut proposals: Vec<Port> = Vec::new();
         let mut step_iterations = 0u64;
         let mut residual = f64::INFINITY;
         for _ in 0..self.plan.max_iterations {
             step_iterations += 1;
-            let run = pool.run(&batch, |ctx| {
-                self.domains[ctx.index].advance(t0, t1, &snapshot)
-            });
-            let mut proposals: Vec<Port> = Vec::new();
-            for (index, result) in run.results.into_iter().enumerate() {
-                match result.outcome {
-                    runtime::JobOutcome::Ok(Ok(ports)) => proposals.extend(ports),
-                    runtime::JobOutcome::Ok(Err(e)) => return Err(e),
-                    runtime::JobOutcome::Panicked(message) => {
-                        return Err(CosimError::Panicked {
-                            domain: self.domains[index].name().to_string(),
-                            message,
-                        })
-                    }
-                }
+            proposals.clear();
+            for domain in &self.domains {
+                let advanced = catch_unwind(AssertUnwindSafe(|| domain.advance(t0, t1, &self.bus)))
+                    .map_err(|payload| CosimError::Panicked {
+                        domain: domain.name().to_string(),
+                        message: runtime::panic_message(payload.as_ref()),
+                    })?;
+                proposals.extend(advanced?);
             }
             residual = 0.0;
             for port in &proposals {
-                residual = residual.max(snapshot.residual(port)?);
+                residual = residual.max(self.bus.residual(port)?);
             }
-            let mut next = self.bus.clone();
+            self.bus.rollback();
             for port in &proposals {
-                next.commit(port)?;
+                self.bus.propose(port)?;
             }
-            snapshot = next;
             obs::count!("cosim.iteration");
             if residual.is_finite() && residual <= self.plan.tolerance {
                 stats.iterations += step_iterations;
                 stats.worst_step_iterations = stats.worst_step_iterations.max(step_iterations);
                 stats.worst_residual = stats.worst_residual.max(residual);
-                return Ok(proposals);
+                return Ok(());
             }
             if !residual.is_finite() {
                 break;

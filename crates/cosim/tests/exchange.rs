@@ -12,7 +12,8 @@
 //! can be checked against exact values rather than against itself.
 
 use cosim::{Cosim, CosimError, Domain, Exchange, ExchangeBuffer, Port, RatePlan};
-use runtime::Pool;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 
 // ---- toy chain ---------------------------------------------------------
 
@@ -134,8 +135,8 @@ struct Toy {
     t_stop: f64,
 }
 
-fn run_toy(toy: &Toy, plan: RatePlan, pool: &Pool) -> Result<(Cosim, f64), CosimError> {
-    let mut sim = Cosim::new(plan, 0x70_11);
+fn toy_cosim(toy: &Toy, plan: RatePlan) -> Cosim {
+    let mut sim = Cosim::new(plan);
     sim.seed_port("v", 0.0, 0.0, 1.0);
     sim.seed_port("i", 0.0, toy.vs / toy.rs, 1.0 / toy.rs);
     sim.add_domain(Box::new(SourceDomain { vs: toy.vs, rs: toy.rs, dt: plan.envelope_dt }));
@@ -147,7 +148,12 @@ fn run_toy(toy: &Toy, plan: RatePlan, pool: &Pool) -> Result<(Cosim, f64), Cosim
         dt: plan.envelope_dt,
         v: 0.0,
     }));
-    let stats = sim.run(pool, 0.0, toy.t_stop)?;
+    sim
+}
+
+fn run_toy(toy: &Toy, plan: RatePlan) -> Result<(Cosim, f64), CosimError> {
+    let mut sim = toy_cosim(toy, plan);
+    let stats = sim.run(0.0, toy.t_stop)?;
     Ok((sim, stats.worst_step_iterations as f64))
 }
 
@@ -213,8 +219,7 @@ fn relaxation_converges_on_a_stiff_load_step() {
         t_stop: 20.0e-6,
     };
     let plan = RatePlan { macro_step: 1.0e-6, envelope_dt: 0.05e-6, ..RatePlan::fig11() };
-    let pool = Pool::new(2);
-    let (sim, worst_iters) = run_toy(&toy, plan, &pool).expect("stiff step converges");
+    let (sim, worst_iters) = run_toy(&toy, plan).expect("stiff step converges");
     // Relaxation genuinely iterated (the domains are coupled) but never
     // hit the guard.
     assert!(worst_iters >= 2.0, "no relaxation happened");
@@ -259,7 +264,7 @@ fn exhausting_the_iteration_guard_is_a_structured_divergence() {
         tolerance: 1.0e-6,
         max_iterations: 1,
     };
-    let err = match run_toy(&toy, plan, &Pool::new(1)) {
+    let err = match run_toy(&toy, plan) {
         Err(e) => e,
         Ok(_) => panic!("one iteration should not converge to 1 µV"),
     };
@@ -271,6 +276,184 @@ fn exhausting_the_iteration_guard_is_a_structured_divergence() {
         }
         other => panic!("expected Diverged, got {other:?}"),
     }
+}
+
+// ---- failure paths ------------------------------------------------------
+
+/// The stiff-step toy, shared by the failure-path tests.
+fn stiff_toy() -> Toy {
+    Toy {
+        vs: 5.0,
+        rs: 150.0,
+        c: 10.0e-9,
+        r_before: 15.0e3,
+        r_after: 1.5e3,
+        t_step: 10.5e-6,
+        t_stop: 20.0e-6,
+    }
+}
+
+fn stiff_plan() -> RatePlan {
+    RatePlan {
+        macro_step: 1.0e-6,
+        envelope_dt: 0.05e-6,
+        ..RatePlan::fig11()
+    }
+}
+
+/// A third domain that behaves (proposes nothing) until the window
+/// starting at `from`, then fails there on its `fail_on`-th advance —
+/// late enough that the other domains' proposals already sit on the
+/// bus as tentative samples.
+struct FaultyDomain {
+    from: f64,
+    fail_on: usize,
+    calls: AtomicUsize,
+    fault: Fault,
+}
+
+#[derive(Clone, Copy)]
+enum Fault {
+    /// Panics inside `advance`.
+    Panic,
+    /// Proposes a port that never settles (each iterate one volt above
+    /// the last), so relaxation exhausts its guard.
+    Oscillate,
+}
+
+impl Domain for FaultyDomain {
+    fn name(&self) -> &'static str {
+        "faulty"
+    }
+
+    fn advance(&self, t0: f64, t1: f64, bus: &Exchange) -> Result<Vec<Port>, CosimError> {
+        let mut port = Port::new("x");
+        if t0 < self.from - 1e-12 {
+            port.push(t1, 0.0);
+            return Ok(vec![port]);
+        }
+        let call = self.calls.fetch_add(1, Ordering::Relaxed) + 1;
+        match self.fault {
+            Fault::Panic if call >= self.fail_on => panic!("faulty domain gave up at {t0:e}"),
+            Fault::Panic => port.push(t1, 0.0),
+            Fault::Oscillate => port.push(t1, bus.reader("x")?.sample(t1) + 1.0),
+        }
+        Ok(vec![port])
+    }
+
+    fn commit(&mut self, _t0: f64, _t1: f64, _bus: &Exchange) -> Result<(), CosimError> {
+        Ok(())
+    }
+}
+
+/// Runs the toy plus a faulty domain; returns the error and the bus.
+fn run_faulty(fault: Fault) -> (CosimError, Cosim) {
+    let toy = stiff_toy();
+    let mut sim = toy_cosim(&toy, stiff_plan());
+    sim.seed_port("x", 0.0, 0.0, 1.0);
+    sim.add_domain(Box::new(FaultyDomain {
+        from: 6.0e-6,
+        fail_on: 2,
+        calls: AtomicUsize::new(0),
+        fault,
+    }));
+    let err = sim
+        .run(0.0, toy.t_stop)
+        .expect_err("the faulty domain must fail the run");
+    (err, sim)
+}
+
+/// After a failure the bus holds exactly the committed windows: every
+/// port ends where the failing window began, and the committed history
+/// is bit-identical to a clean run over the same span.
+fn assert_only_committed_windows(sim: &Cosim, failed_at: f64) {
+    for port in ["v", "i", "x"] {
+        let end = sim.bus().reader(port).expect("seeded").end_time();
+        assert_eq!(
+            end, failed_at,
+            "port `{port}` holds samples past the last committed window"
+        );
+    }
+    let mut clean = toy_cosim(&stiff_toy(), stiff_plan());
+    clean
+        .run(0.0, failed_at)
+        .expect("the clean prefix converges");
+    for port in ["v", "i"] {
+        let (got, want) = (
+            sim.bus().waveform(port).unwrap(),
+            clean.bus().waveform(port).unwrap(),
+        );
+        assert_eq!(got.time(), want.time(), "port `{port}` grid");
+        assert_eq!(got.values(), want.values(), "port `{port}` values");
+    }
+}
+
+#[test]
+fn a_panicking_domain_is_a_structured_error_naming_it() {
+    let (err, sim) = run_faulty(Fault::Panic);
+    match &err {
+        CosimError::Panicked { domain, message } => {
+            assert_eq!(domain, "faulty");
+            assert!(message.contains("gave up"), "panic payload lost: {message}");
+        }
+        other => panic!("expected Panicked, got {other:?}"),
+    }
+    // The panic fired in the window opening at 6 µs.
+    let failed_at = sim.bus().reader("v").unwrap().end_time();
+    assert!(
+        (failed_at - 6.0e-6).abs() < 1e-12,
+        "failed at {failed_at:e}"
+    );
+    assert_only_committed_windows(&sim, failed_at);
+}
+
+#[test]
+fn divergence_rolls_the_bus_back_to_the_committed_windows() {
+    let (err, sim) = run_faulty(Fault::Oscillate);
+    let CosimError::Diverged { t, iterations, .. } = err else {
+        panic!("expected Diverged, got {err:?}");
+    };
+    assert_eq!(iterations, stiff_plan().max_iterations);
+    assert!((t - 6.0e-6).abs() < 1e-12, "diverged at {t:e}");
+    assert_only_committed_windows(&sim, t);
+}
+
+/// Relaxation never copies the committed history, so a window late in a
+/// long run costs what an early one does. The run is driven in
+/// consecutive segments of equal length; the cheapest late segment must
+/// stay within a small factor of the cheapest early one (copying the
+/// history once per iterate made the late segments ~80× dearer).
+#[test]
+fn per_window_cost_does_not_grow_with_the_committed_history() {
+    const SEGMENTS: usize = 20;
+    const WINDOWS: usize = 200;
+    const SAMPLE: usize = 5;
+    let plan = stiff_plan();
+    let toy = Toy {
+        t_step: f64::INFINITY,
+        t_stop: 0.0,
+        ..stiff_toy()
+    };
+    let mut sim = toy_cosim(&toy, plan);
+    let span = WINDOWS as f64 * plan.macro_step;
+    let mut costs = Vec::with_capacity(SEGMENTS);
+    for k in 0..SEGMENTS {
+        let started = Instant::now();
+        sim.run(k as f64 * span, (k + 1) as f64 * span)
+            .expect("segment converges");
+        costs.push(started.elapsed());
+    }
+    let samples = sim.bus().reader("v").unwrap().len();
+    assert!(
+        samples > SEGMENTS * WINDOWS * 10,
+        "history too short to show growth: {samples}"
+    );
+    let early = costs[..SAMPLE].iter().min().unwrap();
+    let late = costs[SEGMENTS - SAMPLE..].iter().min().unwrap();
+    assert!(
+        late.as_secs_f64() < 3.0 * early.as_secs_f64(),
+        "late segments cost {late:?} vs {early:?} early: per-window cost grows with history"
+    );
 }
 
 // ---- fuzz: random rate plans against the closed form -------------------
@@ -287,7 +470,6 @@ mod fuzz {
     #[test]
     fn random_rate_plans_agree_with_the_closed_form() {
         let mut rng = SplitMix64::new(0xC051_F022);
-        let pool = Pool::new(2);
         for trial in 0..24 {
             let macro_step = 0.2e-6 * f64::powf(20.0, rng.next_f64());
             let envelope_dt = macro_step / (10.0 + 40.0 * rng.next_f64());
@@ -313,7 +495,7 @@ mod fuzz {
                 t_step: macro_step * (8.0 + 4.0 * rng.next_f64()),
                 t_stop: macro_step * 20.0,
             };
-            let (sim, _) = run_toy(&toy, plan, &pool)
+            let (sim, _) = run_toy(&toy, plan)
                 .unwrap_or_else(|e| panic!("trial {trial}: plan {plan:?} failed: {e}"));
             let exact = Analytic {
                 vs: toy.vs,

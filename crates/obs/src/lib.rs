@@ -74,13 +74,17 @@ macro_rules! observe {
     }};
 }
 
-/// Increments a duration-less counter stage:
-/// `obs::count!("pool.cache_hit");`.
+/// Increments a duration-less counter stage by one,
+/// `obs::count!("pool.cache_hit");`, or by an amount,
+/// `obs::count!("cosim.calibration.probes", probes);`.
 #[macro_export]
 macro_rules! count {
-    ($name:literal) => {{
+    ($name:literal) => {
+        $crate::count!($name, 1)
+    };
+    ($name:literal, $n:expr) => {{
         static __OBS_STAGE: ::std::sync::OnceLock<&'static $crate::span::Stage> =
             ::std::sync::OnceLock::new();
-        $crate::span::count_at(&__OBS_STAGE, $name)
+        $crate::span::count_at(&__OBS_STAGE, $name, $n)
     }};
 }

@@ -54,10 +54,10 @@ impl Stage {
         self.buckets[bucket_index(nanos)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one counter increment (no duration — cache hits, round
-    /// counts).
-    pub fn increment(&self) {
-        self.count.fetch_add(1, Ordering::Relaxed);
+    /// Adds `n` to the counter without a duration (cache hits, round
+    /// counts, probes spent).
+    pub fn add(&self, n: u64) {
+        self.count.fetch_add(n, Ordering::Relaxed);
     }
 
     pub(crate) fn count(&self) -> u64 {
@@ -170,13 +170,13 @@ pub fn record_at(slot: &'static OnceLock<&'static Stage>, name: &'static str, el
     slot.get_or_init(|| crate::registry::stage(name)).record_duration(elapsed);
 }
 
-/// Increments a duration-less counter stage. Called by the
+/// Adds `n` to a duration-less counter stage. Called by the
 /// [`count!`](crate::count!) macro.
-pub fn count_at(slot: &'static OnceLock<&'static Stage>, name: &'static str) {
+pub fn count_at(slot: &'static OnceLock<&'static Stage>, name: &'static str, n: u64) {
     if !enabled() {
         return;
     }
-    slot.get_or_init(|| crate::registry::stage(name)).increment();
+    slot.get_or_init(|| crate::registry::stage(name)).add(n);
 }
 
 #[cfg(test)]

@@ -56,5 +56,5 @@ pub use cache::{
 pub use job::{Batch, BatchBuilder, Grid, GridBuilder, ParamPoint, ParamValue};
 pub use json::Json;
 pub use metrics::{LatencyHistogram, RunMetrics};
-pub use pool::{BatchRun, JobCtx, JobOutcome, JobResult, Pool};
+pub use pool::{panic_message, BatchRun, JobCtx, JobOutcome, JobResult, Pool};
 pub use rng::{derive_seed, Rng, SplitMix64, Xoshiro256PlusPlus};

@@ -291,7 +291,9 @@ where
     JobResult { index, outcome, wall: job_started.elapsed(), from_cache: false }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// The message of a caught panic payload (`&str` or `String` payloads;
+/// anything else gets a generic description).
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -19,6 +19,7 @@ use crate::proto::{
     FullchainParams, MontecarloParams, PatientdayParams, RequestBody, SweepParams,
 };
 use coils::tissue::TissueStack;
+use implant_core::cosim::CalibrationCache;
 use implant_core::fullchain::FullChainScenario;
 use implant_core::montecarlo::{MonteCarloStudy, VariationModel, YieldReport};
 use implant_core::scenario::Fig11Scenario;
@@ -97,9 +98,11 @@ pub struct PrewarmReport {
 }
 
 /// Shared routing state: the worker pool the Monte Carlo batches run
-/// on and the bounded result caches.
+/// on, the bounded result caches, and the co-simulation calibration
+/// tables (fixed capacity, memory only, fresh at every start).
 pub struct Router {
     pool: Pool,
+    calibrations: CalibrationCache,
     mc_cache: ResultCache<YieldReport>,
     sweep_cache: ResultCache<Vec<f64>>,
     day_cache: ResultCache<DaySummary>,
@@ -145,6 +148,7 @@ impl Router {
         }
         Router {
             pool: Pool::new(pool_workers),
+            calibrations: CalibrationCache::new(),
             mc_cache: tiered(cache_capacity, &store),
             sweep_cache: tiered(cache_capacity, &store),
             day_cache: tiered(cache_capacity, &store),
@@ -315,8 +319,9 @@ impl Router {
         }
         let outcome = if p.cosim {
             scenario
-                .run_cosim(&self.pool)
+                .run_cosim_with(&self.pool, &self.calibrations)
                 .map_err(|e| RouteError::internal(format!("simulation failed: {e}")))?
+                .0
         } else {
             scenario.run().map_err(|e| RouteError::internal(format!("simulation failed: {e}")))?
         };
@@ -347,7 +352,7 @@ impl Router {
         // shape is engine-independent (plus the `cosim` marker).
         let (vo_steady, supply_compliant, efficiency, p_load, p_supply) = if p.cosim {
             let o = scenario
-                .run_cosim(&self.pool)
+                .run_cosim_with(&self.pool, &self.calibrations)
                 .map_err(|e| RouteError::internal(format!("simulation failed: {e}")))?;
             (o.vo_steady(), o.supply_compliant(), o.efficiency(), o.p_load, o.p_supply)
         } else {
@@ -742,6 +747,49 @@ mod tests {
         assert_eq!(co.result.get("cosim"), Some(&Json::Bool(true)));
         assert_eq!(co.result.get("downlink_errors"), Some(&Json::Num(0.0)));
         assert_eq!(co.result.get("vo_compliant"), Some(&Json::Bool(true)));
+    }
+
+    #[test]
+    fn repeated_cosim_identities_reuse_their_calibration() {
+        let counter = |name: &str| {
+            obs::snapshot()
+                .iter()
+                .find(|s| s.name == name)
+                .map_or(0, |s| s.count)
+        };
+        let request = |r_load: f64| {
+            params(vec![
+                ("cosim", Json::Bool(true)),
+                ("cycles", Json::Num(60.0)),
+                ("r_load", Json::Num(r_load)),
+            ])
+        };
+        let r = router();
+        let cold = r.handle("fullchain", &request(1.5e3)).unwrap();
+        let hits = counter("cosim.calibration.hit");
+        // Same front-end, different load: the table is reused.
+        let warm = r.handle("fullchain", &request(1.6e3)).unwrap();
+        assert!(
+            counter("cosim.calibration.hit") > hits,
+            "repeat identity missed the cache"
+        );
+        assert_ne!(
+            warm.result, cold.result,
+            "the load still changes the answer"
+        );
+        // A warm answer is the cold answer.
+        assert_eq!(
+            r.handle("fullchain", &request(1.5e3)).unwrap().result,
+            cold.result
+        );
+        assert_eq!(
+            router()
+                .handle("fullchain", &request(1.6e3))
+                .unwrap()
+                .result,
+            warm.result
+        );
+        assert!(obs::prometheus_text().contains("stage=\"cosim.calibration.hit\""));
     }
 
     #[test]

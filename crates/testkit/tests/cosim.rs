@@ -10,10 +10,17 @@
 //! (1 %); `t_charged` gets its own 2 % band because the threshold
 //! crossing compares a carrier-ripple peak (monolithic) against an
 //! envelope mean (cosim) — see `DESIGN.md` §16.
+//!
+//! The calibration-cache tests pin table reuse: a warm run is the cold
+//! run bit for bit, and the cache identity is exactly the inputs the
+//! calibration probes read.
 
+use coils::mutual::CoilPair;
+use coils::spiral::SpiralCoil;
 use comms::bits::BitStream;
+use implant_core::cosim::{CalibrationCache, CosimError, FullChainCosimOutcome};
 use implant_core::fullchain::FullChainScenario;
-use implant_core::scenario::Fig11Scenario;
+use implant_core::scenario::{Fig11Outcome, Fig11Scenario};
 use runtime::Pool;
 use testkit::fault::{FaultInjector, FaultPlan};
 use testkit::golden::TOLERANCES;
@@ -151,4 +158,316 @@ fn cosim_fullchain_matches_monolithic() {
     let co = scenario.run_cosim(&pool).expect("cosim uplink runs");
     assert_eq!(co.uplink_detected, mono.uplink_detected, "recovered uplink bits differ");
     assert!(rel(co.vo_steady(), mono.vo_steady()) <= 0.02);
+}
+
+// ---- calibration reuse --------------------------------------------------
+
+/// The next representable value above a positive `x`.
+fn ulp_up(x: f64) -> f64 {
+    f64::from_bits(x.to_bits() + 1)
+}
+
+fn assert_bits(name: &str, a: &[f64], b: &[f64]) {
+    assert_eq!(a.len(), b.len(), "{name}: grids differ");
+    for (x, y) in a.iter().zip(b) {
+        assert_eq!(x.to_bits(), y.to_bits(), "{name}: {x:?} vs {y:?}");
+    }
+}
+
+fn assert_same_fig11(a: &Fig11Outcome, b: &Fig11Outcome) {
+    assert_bits("vo", a.vo.values(), b.vo.values());
+    assert_bits("vi", a.vi.values(), b.vi.values());
+    assert_bits("vdem", a.vdem.values(), b.vdem.values());
+    assert_eq!(a.downlink_detected, b.downlink_detected);
+    assert_eq!(a.vo_worst().to_bits(), b.vo_worst().to_bits());
+    assert_eq!(a.t_charged.map(f64::to_bits), b.t_charged.map(f64::to_bits));
+    assert_eq!(a.uplink_contrast.to_bits(), b.uplink_contrast.to_bits());
+}
+
+fn assert_same_fullchain(a: &FullChainCosimOutcome, b: &FullChainCosimOutcome) {
+    assert_bits("vo", a.vo.values(), b.vo.values());
+    assert_bits("vi_env", a.vi_env.values(), b.vi_env.values());
+    assert_eq!(a.p_load.to_bits(), b.p_load.to_bits());
+    assert_eq!(a.p_supply.to_bits(), b.p_supply.to_bits());
+    assert_eq!(a.uplink_detected, b.uplink_detected);
+    assert_eq!(a.stats, b.stats, "scheduler counters differ");
+}
+
+fn short_fullchain() -> FullChainScenario {
+    FullChainScenario {
+        cycles: 60,
+        ..FullChainScenario::ironic()
+    }
+}
+
+#[test]
+fn warm_cosim_runs_are_bit_identical_to_cold_runs() {
+    let pool = Pool::auto();
+    let tables = CalibrationCache::new();
+    let scenario = Fig11Scenario::shortened();
+    let (cold, cold_report) = scenario.run_cosim_with(&pool, &tables).expect("cold fig11");
+    let (warm, warm_report) = scenario.run_cosim_with(&pool, &tables).expect("warm fig11");
+    assert!(cold_report.probes > 0, "a cold run calibrates");
+    assert_eq!(warm_report.probes, 0, "a warm run reuses the table");
+    assert_eq!(
+        warm_report.stats, cold_report.stats,
+        "scheduler counters differ"
+    );
+    assert_same_fig11(&warm, &cold);
+    // The uncached entry point is the same path with a fresh cache.
+    assert_same_fig11(&scenario.run_cosim(&pool).expect("fig11"), &cold);
+
+    for scenario in [
+        short_fullchain(),
+        FullChainScenario::ironic().with_uplink(BitStream::from_str("10110010"), 60.0e-6),
+    ] {
+        let cold = scenario.run_cosim(&pool).expect("cold fullchain");
+        let primed = scenario
+            .run_cosim_with(&pool, &tables)
+            .expect("priming fullchain");
+        let warm = scenario
+            .run_cosim_with(&pool, &tables)
+            .expect("warm fullchain");
+        assert_eq!(cold.probes, 2);
+        assert_eq!(warm.probes, 0, "a warm run reuses the table");
+        assert_same_fullchain(&primed, &cold);
+        assert_same_fullchain(&warm, &cold);
+    }
+}
+
+/// Runs `scenario` against `tables` and reports whether the table came
+/// from the cache.
+fn fig11_hit(scenario: &Fig11Scenario, tables: &CalibrationCache) -> bool {
+    let (_, report) = scenario
+        .run_cosim_with(&Pool::auto(), tables)
+        .expect("fig11 cosim");
+    report.probes == 0
+}
+
+fn fullchain_hit(scenario: &FullChainScenario, tables: &CalibrationCache) -> bool {
+    scenario
+        .run_cosim_with(&Pool::auto(), tables)
+        .expect("fullchain cosim")
+        .probes
+        == 0
+}
+
+#[test]
+fn fig11_calibration_identity_is_exactly_what_the_probes_read() {
+    let base = Fig11Scenario::shortened();
+    let tables = CalibrationCache::new();
+    assert!(!fig11_hit(&base, &tables), "first sight must calibrate");
+    let same: [(&str, Fig11Scenario); 4] = [
+        (
+            "r_load",
+            Fig11Scenario {
+                r_load: 6.8e3,
+                ..base.clone()
+            },
+        ),
+        (
+            "t_stop",
+            Fig11Scenario {
+                t_stop: 170.0e-6,
+                ..base.clone()
+            },
+        ),
+        (
+            "downlink_bits",
+            Fig11Scenario {
+                downlink_bits: BitStream::from_str("1011"),
+                ..base.clone()
+            },
+        ),
+        (
+            "uplink_bits",
+            Fig11Scenario {
+                uplink_bits: BitStream::from_str("0110"),
+                ..base.clone()
+            },
+        ),
+    ];
+    for (name, scenario) in &same {
+        assert!(
+            fig11_hit(scenario, &tables),
+            "changing {name} must reuse the table"
+        );
+    }
+    assert_eq!(tables.len(), 1);
+    let mut c_out = base.clone();
+    c_out.rectifier.c_out = ulp_up(c_out.rectifier.c_out);
+    let mut diode = base.clone();
+    diode.rectifier.diode.is = ulp_up(diode.rectifier.diode.is);
+    let keyed: [(&str, Fig11Scenario); 5] = [
+        (
+            "idle_amplitude",
+            Fig11Scenario {
+                idle_amplitude: ulp_up(base.idle_amplitude),
+                ..base.clone()
+            },
+        ),
+        (
+            "r_source",
+            Fig11Scenario {
+                r_source: ulp_up(base.r_source),
+                ..base.clone()
+            },
+        ),
+        (
+            "max_step",
+            Fig11Scenario {
+                max_step: ulp_up(base.max_step),
+                ..base.clone()
+            },
+        ),
+        ("rectifier.c_out", c_out),
+        ("rectifier.diode", diode),
+    ];
+    for (name, scenario) in &keyed {
+        assert!(
+            !fig11_hit(scenario, &tables),
+            "a one-ulp change of {name} must miss"
+        );
+    }
+    assert_eq!(tables.len(), 1 + keyed.len());
+}
+
+#[test]
+fn fullchain_calibration_identity_is_exactly_what_the_probes_read() {
+    let base = short_fullchain();
+    let tables = CalibrationCache::new();
+    assert!(!fullchain_hit(&base, &tables), "first sight must calibrate");
+    let same: [(&str, FullChainScenario); 3] = [
+        (
+            "r_load",
+            FullChainScenario {
+                r_load: 1.6e3,
+                ..base.clone()
+            },
+        ),
+        (
+            "cycles",
+            FullChainScenario {
+                cycles: 80,
+                ..base.clone()
+            },
+        ),
+        (
+            "uplink",
+            base.clone()
+                .with_uplink(BitStream::from_str("1001"), 60.0e-6),
+        ),
+    ];
+    for (name, scenario) in &same {
+        assert!(
+            fullchain_hit(scenario, &tables),
+            "changing {name} must reuse the table"
+        );
+    }
+    let mut vdd = base.clone();
+    vdd.design.vdd = ulp_up(vdd.design.vdd);
+    let mut c_out = base.clone();
+    c_out.rectifier.c_out = ulp_up(c_out.rectifier.c_out);
+    let tx = SpiralCoil {
+        trace_width: ulp_up(base.pair.tx().trace_width),
+        ..*base.pair.tx()
+    };
+    let keyed: [(&str, FullChainScenario); 4] = [
+        (
+            "distance",
+            FullChainScenario {
+                distance: ulp_up(base.distance),
+                ..base.clone()
+            },
+        ),
+        ("design.vdd", vdd),
+        (
+            "pair",
+            FullChainScenario {
+                pair: CoilPair::new(tx, *base.pair.rx()),
+                ..base.clone()
+            },
+        ),
+        ("rectifier.c_out", c_out),
+    ];
+    for (name, scenario) in &keyed {
+        assert!(
+            !fullchain_hit(scenario, &tables),
+            "a one-ulp change of {name} must miss"
+        );
+    }
+    assert_eq!(tables.len(), 1 + keyed.len());
+}
+
+#[test]
+fn failed_calibrations_are_not_cached() {
+    let pool = Pool::auto();
+    let tables = CalibrationCache::new();
+    // A non-positive probe step is rejected by every probe transient.
+    let broken = Fig11Scenario {
+        max_step: -1.0e-9,
+        ..Fig11Scenario::shortened()
+    };
+    for _ in 0..2 {
+        let err = broken
+            .run_cosim_with(&pool, &tables)
+            .expect_err("probe step is invalid");
+        assert!(
+            matches!(err, CosimError::Domain { domain: "link", .. }),
+            "{err:?}"
+        );
+        assert!(tables.is_empty(), "a failed calibration was cached");
+    }
+}
+
+#[cfg(feature = "fuzz")]
+mod fuzz {
+    use super::*;
+    use runtime::{Rng, SplitMix64};
+
+    fn bits(rng: &mut SplitMix64, n: usize) -> BitStream {
+        (0..n).map(|_| rng.next_f64() < 0.5).collect()
+    }
+
+    /// Over random loads, horizons, cycle counts and bit patterns on
+    /// fixed calibration identities, a run served from a warm table is
+    /// the cold run bit for bit.
+    #[test]
+    fn warm_runs_match_cold_runs_on_random_requests() {
+        let mut rng = SplitMix64::new(0xCA1_7AB1E);
+        let pool = Pool::auto();
+        let tables = CalibrationCache::new();
+        for trial in 0..4 {
+            let mut scenario = Fig11Scenario::shortened();
+            scenario.r_load = 6.5e3 + 3.0e3 * rng.next_f64();
+            scenario.t_stop = (160.0 + 20.0 * rng.next_f64()) * 1e-6;
+            scenario.downlink_bits = bits(&mut rng, 4);
+            scenario.uplink_bits = bits(&mut rng, 4);
+            let cold = scenario.run_cosim(&pool).expect("cold fig11");
+            let (warm, report) = scenario.run_cosim_with(&pool, &tables).expect("warm fig11");
+            assert!(
+                trial == 0 || report.probes == 0,
+                "trial {trial}: the identity missed"
+            );
+            assert_same_fig11(&warm, &cold);
+        }
+        for trial in 0..6 {
+            let mut scenario = FullChainScenario::ironic();
+            scenario.r_load = 1.2e3 + 0.6e3 * rng.next_f64();
+            scenario.cycles = 40 + (rng.next_f64() * 120.0) as usize;
+            if rng.next_f64() < 0.5 {
+                let start = (30.0 + 30.0 * rng.next_f64()) * 1e-6;
+                scenario = scenario.with_uplink(bits(&mut rng, 6), start);
+            }
+            let cold = scenario.run_cosim(&pool).expect("cold fullchain");
+            let warm = scenario
+                .run_cosim_with(&pool, &tables)
+                .expect("warm fullchain");
+            assert!(
+                trial == 0 || warm.probes == 0,
+                "trial {trial}: the identity missed"
+            );
+            assert_same_fullchain(&warm, &cold);
+        }
+    }
 }

@@ -13,10 +13,10 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
-# The workspace currently runs 800+ tests; a sharp drop means suites
+# The workspace currently runs 831 tests; a sharp drop means suites
 # silently fell out of the build (feature gate, dead test file, a
 # `#[cfg]` typo), which a plain exit code would never catch.
-MIN_TESTS=800
+MIN_TESTS=831
 
 TEST_LOG="$(mktemp)"
 trap 'rm -f "$TEST_LOG"' EXIT
@@ -111,6 +111,10 @@ if [[ "${1:-}" == "--fuzz" ]]; then
     for crate in analog biosensor coils comms patch pmu implant-server implant-cosim; do
         lane "fuzz-$crate" cargo test -q -p "$crate" --features fuzz
     done
+    # Calibration reuse: over random loads, horizons, cycle counts and
+    # bit patterns on fixed identities, a warm-table cosim run must be
+    # the cold run bit for bit.
+    lane fuzz-cosim-cache cargo test -q -p implant-testkit --features fuzz --test cosim
 fi
 
 echo "verify: OK"
