@@ -4,9 +4,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::analysis::{
-    AcResult, AcSpec, DcSweepResult, OpPoint, TranConfig, TransientResult, TransientSpec,
-};
+use crate::analysis::{OpPoint, TransientResult, TransientSpec};
 use crate::compiled::CompiledCircuit;
 use crate::device::{DiodeModel, MosModel, SwitchModel};
 use crate::engine::Engine;
@@ -469,46 +467,6 @@ impl Circuit {
         CompiledCircuit::build(self.for_simulation().into_owned())
     }
 
-    /// Computes the DC operating point (capacitors open, inductors short).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::SingularMatrix`] for ill-formed topologies and
-    /// [`SimError::NoConvergence`] when Newton, g<sub>min</sub> stepping and
-    /// source stepping all fail.
-    #[deprecated(since = "0.1.0", note = "use `Circuit::compile()?.dc_op()`")]
-    #[doc(hidden)]
-    pub fn dc_op(&self) -> Result<OpPoint, SimError> {
-        self.compile()?.dc_op()
-    }
-
-    /// Runs a transient analysis.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DC-op errors for the initial point and returns
-    /// [`SimError::TimestepTooSmall`] if the adaptive step underflows.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Circuit::compile()?.tran(&TranConfig::builder(t_stop)...build())`"
-    )]
-    #[doc(hidden)]
-    pub fn transient(&self, spec: &TransientSpec) -> Result<TransientResult, SimError> {
-        self.compile()?.tran(&TranConfig::from(spec))
-    }
-
-    /// Runs a small-signal AC analysis about the DC operating point.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DC-op errors; returns [`SimError::SingularMatrix`] if the
-    /// complex MNA system is singular at some frequency.
-    #[deprecated(since = "0.1.0", note = "use `Circuit::compile()?.ac(spec)`")]
-    #[doc(hidden)]
-    pub fn ac(&self, spec: &AcSpec) -> Result<AcResult, SimError> {
-        self.compile()?.ac(spec)
-    }
-
     /// Computes the DC operating point with the interpreted reference
     /// engine (dense MNA, netlist walked every Newton iteration).
     ///
@@ -698,32 +656,6 @@ impl Circuit {
         out.push_str(".end\n");
         out
     }
-
-    /// Sweeps the DC value of the named independent source and records the
-    /// operating point at each value.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::NotFound`] if the source does not exist, plus any
-    /// DC-op error at a sweep point.
-    #[deprecated(since = "0.1.0", note = "use `Circuit::compile()?.dc_sweep(source, values)`")]
-    #[doc(hidden)]
-    pub fn dc_sweep(&self, source: &str, values: &[f64]) -> Result<DcSweepResult, SimError> {
-        // Validate the device before compiling so a bad source name is
-        // reported even for circuits that fail to compile.
-        let id = self
-            .find_device(source)
-            .ok_or_else(|| SimError::NotFound(format!("source `{source}`")))?;
-        match self.devices[id.0].kind {
-            DeviceKind::VSource { .. } | DeviceKind::ISource { .. } => {}
-            _ => {
-                return Err(SimError::InvalidCircuit(format!(
-                    "device `{source}` is not an independent source"
-                )))
-            }
-        }
-        self.compile()?.dc_sweep(source, values)
-    }
 }
 
 #[cfg(test)]
@@ -788,18 +720,5 @@ mod tests {
         assert_eq!(ckt.devices[0].branch, Some(0));
         assert_eq!(ckt.devices[1].branch, None);
         assert_eq!(ckt.devices[2].branch, Some(1));
-    }
-
-    #[test]
-    #[allow(deprecated)] // exercises the deprecated wrapper's error precedence
-    fn dc_sweep_rejects_non_source() {
-        let mut ckt = Circuit::new();
-        let a = ckt.node("a");
-        ckt.resistor("R1", a, Circuit::GND, 10.0);
-        assert!(matches!(
-            ckt.dc_sweep("R1", &[1.0]),
-            Err(SimError::InvalidCircuit(_))
-        ));
-        assert!(matches!(ckt.dc_sweep("nope", &[1.0]), Err(SimError::NotFound(_))));
     }
 }

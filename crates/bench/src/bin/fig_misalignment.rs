@@ -13,7 +13,7 @@
 use bench::{banner, verdict};
 use implant_core::report::{eng, Table};
 use link::budget::PowerBudget;
-use runtime::{Batch, Grid, Pool, ResultCache};
+use runtime::{Batch, Grid, Pool};
 
 const DEPTHS_MM: [f64; 4] = [4.0, 6.0, 10.0, 14.0];
 const OFFSETS_MM: [f64; 4] = [0.0, 5.0, 10.0, 15.0];
@@ -26,7 +26,7 @@ fn main() {
     let p_survival = 2.3e-6 * 1000.0; // 2.3 mW worst-case sensor demand
 
     let pool = Pool::auto();
-    let cache = ResultCache::from_env("IMPLANT_CACHE_DIR");
+    let cache = bench::harness_cache();
     let power_job = |ctx: &mut runtime::JobCtx| {
         budget.received_power_misaligned(
             ctx.point.f64("depth_mm") * 1e-3,

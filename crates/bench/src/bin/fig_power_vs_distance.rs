@@ -13,7 +13,7 @@ use bench::{banner, verdict};
 use coils::tissue::TissueStack;
 use implant_core::report::{eng, Table};
 use link::budget::PowerBudget;
-use runtime::{Batch, Grid, Pool, ResultCache};
+use runtime::{Batch, Grid, Pool};
 
 const DISTANCES_MM: [f64; 11] = [2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 17.0, 20.0, 25.0, 30.0];
 
@@ -28,7 +28,7 @@ fn main() {
         .axis("medium", ["air", "sirloin"])
         .build();
     let batch = Batch::builder("power-vs-distance").grid(&grid).build();
-    let cache = ResultCache::from_env("IMPLANT_CACHE_DIR");
+    let cache = bench::harness_cache();
     let run = Pool::auto().run_cached(&batch, &cache, |ctx| {
         let d = ctx.point.f64("distance_mm") * 1e-3;
         match ctx.point.str("medium") {

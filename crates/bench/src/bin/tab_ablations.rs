@@ -23,7 +23,7 @@ use comms::bits::BitStream;
 use comms::lsk::{reflected_current, LskDetector};
 use implant_core::report::Table;
 use pmu::rectifier::RectifierCircuit;
-use runtime::{Batch, ParamPoint, Pool, ResultCache};
+use runtime::{Batch, ParamPoint, Pool};
 
 /// A1 — max Vo at light load with `n_clamps` clamp diodes (12 ≈ disabled).
 fn a1_max_vo(n_clamps: usize) -> f64 {
@@ -139,7 +139,7 @@ fn main() {
     }
     let batch = builder.build();
 
-    let cache = ResultCache::from_env("IMPLANT_CACHE_DIR");
+    let cache = bench::harness_cache();
     let run = Pool::auto().run_cached(&batch, &cache, |ctx| match ctx.point.str("ablation") {
         "a1" => a1_max_vo(ctx.point.u64("n_clamps") as usize),
         "a2" => a2_droop(ctx.point.u64("m2_closed") == 1),

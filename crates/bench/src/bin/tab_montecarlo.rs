@@ -16,7 +16,7 @@
 use bench::{banner, verdict};
 use implant_core::montecarlo::{MonteCarloStudy, VariationModel};
 use implant_core::report::Table;
-use runtime::{Batch, ParamPoint, Pool, ResultCache};
+use runtime::{Batch, ParamPoint, Pool};
 
 fn main() {
     banner("MC", "parametric yield of the Fig. 11 criteria (extension)");
@@ -29,7 +29,7 @@ fn main() {
             builder.point(ParamPoint::new().with("scale", scale).with("trials", TRIALS as u64));
     }
     let batch = builder.build();
-    let cache = ResultCache::from_env("IMPLANT_CACHE_DIR");
+    let cache = bench::harness_cache();
     let run = Pool::auto().run_cached(&batch, &cache, |ctx| {
         let mut study = MonteCarloStudy::ironic();
         study.variation = VariationModel::typical_018um().scaled(ctx.point.f64("scale"));

@@ -21,8 +21,22 @@
 //! the substrate (transient steps, conversions, filament sums) rather
 //! than reproducing paper numbers.
 
-use runtime::Json;
+use runtime::{Artifact, Json, ResultCache};
+use std::sync::Arc;
 use std::time::Duration;
+
+/// The harnesses' result cache. It lives in memory and, when
+/// `IMPLANT_CACHE_DIR` is set, persists through an [`store::Store`]
+/// rooted there (replica `bench`), so a re-run recomputes only changed
+/// points. A directory the store cannot open leaves the cache in memory.
+pub fn harness_cache<V: Artifact + Clone>() -> ResultCache<V> {
+    let cache = ResultCache::in_memory();
+    let dir = std::env::var_os("IMPLANT_CACHE_DIR").filter(|d| !d.is_empty());
+    match dir.map(|d| store::Store::open(d, "bench")) {
+        Some(Ok(shared)) => cache.with_tier(Arc::new(shared)),
+        _ => cache,
+    }
+}
 
 /// Prints the standard harness banner for experiment `id` reproducing
 /// `artifact`.

@@ -3,18 +3,18 @@
 //! Keys are a stable 64-bit FNV-1a hash of the batch namespace plus the
 //! job's canonical parameter string, so a result is reused exactly when
 //! the same named sweep re-evaluates the same parameter point. The cache
-//! always holds results in memory; pointing it at a directory
-//! additionally persists every entry as a small JSON artifact, which
-//! lets a re-run of a sweep recompute only changed points across
-//! process restarts. Long-lived services should use the bounded mode
-//! ([`ResultCache::bounded`] / [`ResultCache::with_capacity`]): the
-//! in-memory entry count is capped and the oldest entry is evicted
-//! first, so memory cannot grow without bound.
+//! holds results in memory; attaching an [`ArtifactTier`] (the
+//! `implant-store` on-disk store) additionally persists every entry, so a
+//! re-run of a sweep recomputes only changed points across process
+//! restarts. Long-lived services should use the bounded mode
+//! ([`ResultCache::bounded`]): the in-memory entry count is capped and
+//! the oldest entry is evicted first, so memory cannot grow without
+//! bound.
 
 use crate::job::ParamPoint;
 use crate::json::Json;
 use std::collections::{HashMap, VecDeque};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -154,20 +154,17 @@ pub struct ResultCache<V> {
     mem: Mutex<MemStore<V>>,
     /// Maximum in-memory entries; `None` = unbounded.
     capacity: Option<usize>,
-    dir: Option<PathBuf>,
-    /// Shared artifact tier consulted after memory and disk.
+    /// Shared artifact tier consulted after memory.
     tier: Option<Arc<dyn ArtifactTier>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    corrupt: AtomicU64,
 }
 
 impl<V: std::fmt::Debug> std::fmt::Debug for ResultCache<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResultCache")
             .field("capacity", &self.capacity)
-            .field("dir", &self.dir)
             .field("tier", &self.tier.as_ref().map(|_| "<tier>"))
             .field("len", &self.mem.lock().map(|m| m.map.len()).unwrap_or(0))
             .finish()
@@ -180,12 +177,10 @@ impl<V: Artifact + Clone> ResultCache<V> {
         ResultCache {
             mem: Mutex::new(MemStore::default()),
             capacity: None,
-            dir: None,
             tier: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            corrupt: AtomicU64::new(0),
         }
     }
 
@@ -197,37 +192,13 @@ impl<V: Artifact + Clone> ResultCache<V> {
         ResultCache { capacity: Some(capacity), ..Self::in_memory() }
     }
 
-    /// A cache that also persists every entry under `dir` (created on
-    /// first write). Existing artifacts in `dir` satisfy lookups.
-    pub fn with_dir(dir: impl Into<PathBuf>) -> Self {
-        ResultCache { dir: Some(dir.into()), ..Self::in_memory() }
-    }
-
-    /// Caps the in-memory entry count of any cache; builder style. Disk
-    /// artifacts are untouched by eviction — an evicted entry written
-    /// under a `with_dir` directory still satisfies a later lookup.
-    #[must_use]
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        self.capacity = Some(capacity);
-        self
-    }
-
     /// Attaches a shared artifact tier; builder style. The tier is
-    /// consulted after memory and the private artifact directory, and
-    /// written through on every [`ResultCache::put`].
+    /// consulted after memory and written through on every
+    /// [`ResultCache::put`].
     #[must_use]
     pub fn with_tier(mut self, tier: Arc<dyn ArtifactTier>) -> Self {
         self.tier = Some(tier);
         self
-    }
-
-    /// Reads the artifact directory from environment variable `var`:
-    /// set → persistent cache in that directory, unset → in-memory.
-    pub fn from_env(var: &str) -> Self {
-        match std::env::var_os(var) {
-            Some(dir) if !dir.is_empty() => Self::with_dir(PathBuf::from(dir)),
-            _ => Self::in_memory(),
-        }
     }
 
     /// The cache key of `point` within `namespace` (see [`cache_key`]).
@@ -242,11 +213,6 @@ impl<V: Artifact + Clone> ResultCache<V> {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Some(v.clone());
         }
-        if let Some(v) = self.load_artifact(key) {
-            self.insert(key, v.clone());
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(v);
-        }
         if let Some(v) = self.load_tier(key) {
             self.insert(key, v.clone());
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -260,9 +226,6 @@ impl<V: Artifact + Clone> ResultCache<V> {
     pub fn put(&self, namespace: &str, point: &ParamPoint, value: &V) {
         let key = Self::key(namespace, point);
         self.insert(key, value.clone());
-        if self.dir.is_some() {
-            self.store_artifact(key, namespace, point, value);
-        }
         if let Some(tier) = &self.tier {
             tier.store(key, namespace, &point.canonical(), &value.to_json());
         }
@@ -272,13 +235,13 @@ impl<V: Artifact + Clone> ResultCache<V> {
     /// derivation. This is the catch-up path: a rejoining replica that
     /// enumerates warm keys from a shared tier manifest knows only the
     /// keys, not the points that produced them, and must still be able
-    /// to pre-warm its memory before taking traffic. No tier or disk
+    /// to pre-warm its memory before taking traffic. No tier
     /// write-through happens — the artifact already lives there.
     pub fn admit(&self, key: u64, value: V) {
         self.insert(key, value);
     }
 
-    /// Looks up a raw cache key in memory only (no disk, no tier, no
+    /// Looks up a raw cache key in memory only (no tier, no
     /// hit/miss accounting) — used by tests and catch-up verification.
     pub fn peek(&self, key: u64) -> Option<V> {
         self.mem.lock().expect("cache lock").map.get(&key).cloned()
@@ -314,12 +277,6 @@ impl<V: Artifact + Clone> ResultCache<V> {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Disk artifacts that existed but failed to read or parse (treated
-    /// as misses) since construction.
-    pub fn corrupt(&self) -> u64 {
-        self.corrupt.load(Ordering::Relaxed)
-    }
-
     /// Entries currently held in memory.
     pub fn len(&self) -> usize {
         self.mem.lock().expect("cache lock").map.len()
@@ -330,54 +287,8 @@ impl<V: Artifact + Clone> ResultCache<V> {
         self.len() == 0
     }
 
-    fn artifact_path(&self, key: u64) -> Option<PathBuf> {
-        self.dir.as_ref().map(|d| d.join(format!("{key:016x}.json")))
-    }
-
-    fn load_artifact(&self, key: u64) -> Option<V> {
-        let path = self.artifact_path(key)?;
-        if !path.exists() {
-            return None; // Plain miss — nothing was ever written here.
-        }
-        // The file exists: from here on, any failure means a torn or
-        // corrupt artifact (a non-atomic writer died mid-write, or the
-        // bytes rotted). Treat it as a miss so the caller recomputes,
-        // but count it — silent data loss should be visible in metrics.
-        let corrupt = |cache: &Self| {
-            cache.corrupt.fetch_add(1, Ordering::Relaxed);
-            obs::count!("store.corrupt");
-            None
-        };
-        let Ok(text) = std::fs::read_to_string(&path) else { return corrupt(self) };
-        let Some(doc) = Json::parse(&text) else { return corrupt(self) };
-        match doc.get("value").and_then(V::from_json) {
-            Some(v) => Some(v),
-            None => corrupt(self),
-        }
-    }
-
     fn load_tier(&self, key: u64) -> Option<V> {
         V::from_json(&self.tier.as_ref()?.load(key)?)
-    }
-
-    fn store_artifact(&self, key: u64, namespace: &str, point: &ParamPoint, value: &V) {
-        let Some(path) = self.artifact_path(key) else { return };
-        if let Some(dir) = path.parent() {
-            if std::fs::create_dir_all(dir).is_err() {
-                return; // Persistence is best-effort; memory still holds it.
-            }
-        }
-        let doc = Json::obj(vec![
-            ("namespace", Json::Str(namespace.to_string())),
-            ("params", Json::Str(point.canonical())),
-            ("value", value.to_json()),
-        ]);
-        let _ = atomic_write(&path, doc.to_string().as_bytes());
-    }
-
-    /// The artifact directory, when persistence is enabled.
-    pub fn dir(&self) -> Option<&Path> {
-        self.dir.as_deref()
     }
 }
 
@@ -521,21 +432,6 @@ mod tests {
     }
 
     #[test]
-    fn disk_artifacts_survive_a_new_cache() {
-        let dir = std::env::temp_dir().join(format!("runtime-cache-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let p = ParamPoint::new().with("d", 17.0).with("medium", "sirloin");
-        {
-            let cache: ResultCache<f64> = ResultCache::with_dir(&dir);
-            cache.put("sweep", &p, &1.17e-3);
-        }
-        let fresh: ResultCache<f64> = ResultCache::with_dir(&dir);
-        assert_eq!(fresh.get("sweep", &p), Some(1.17e-3));
-        assert_eq!(fresh.stats(), (1, 0));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn bounded_cache_evicts_oldest_first() {
         let cache: ResultCache<f64> = ResultCache::bounded(2);
         let p = |d: f64| ParamPoint::new().with("d", d);
@@ -576,64 +472,10 @@ mod tests {
     }
 
     #[test]
-    fn disk_artifacts_survive_eviction() {
-        let dir = std::env::temp_dir().join(format!("runtime-evict-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache: ResultCache<f64> = ResultCache::with_dir(&dir).with_capacity(1);
-        let p = |d: f64| ParamPoint::new().with("d", d);
-        cache.put("ns", &p(1.0), &1.0);
-        cache.put("ns", &p(2.0), &2.0); // evicts d=1.0 from memory only
-        assert_eq!(cache.len(), 1);
-        // The evicted entry reloads from its artifact (and counts a hit).
-        assert_eq!(cache.get("ns", &p(1.0)), Some(1.0));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn vec_and_tuple_artifacts_round_trip() {
         let v: Vec<(f64, u64)> = vec![(1.5, 2), (f64::INFINITY, 0)];
         let back = Vec::<(f64, u64)>::from_json(&v.to_json()).unwrap();
         assert_eq!(back, v);
-    }
-
-    #[test]
-    fn corrupt_artifact_reads_as_a_miss_and_is_counted() {
-        let dir = std::env::temp_dir().join(format!("runtime-corrupt-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let p = ParamPoint::new().with("d", 3.0);
-        let cache: ResultCache<f64> = ResultCache::with_dir(&dir);
-        cache.put("ns", &p, &9.0);
-        let key = cache_key("ns", &p);
-        // Truncate the artifact mid-document, as a dying non-atomic
-        // writer would, then look it up through a cold cache.
-        std::fs::write(dir.join(format!("{key:016x}.json")), "{\"namespace\":\"ns\",\"val")
-            .unwrap();
-        let fresh: ResultCache<f64> = ResultCache::with_dir(&dir);
-        assert_eq!(fresh.get("ns", &p), None, "torn artifact must read as a miss");
-        assert_eq!(fresh.corrupt(), 1);
-        assert_eq!(fresh.stats(), (0, 1));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn wrong_shape_artifact_counts_corrupt_but_missing_file_does_not() {
-        let dir = std::env::temp_dir().join(format!("runtime-shape-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = ParamPoint::new().with("d", 4.0);
-        let cache: ResultCache<f64> = ResultCache::with_dir(&dir);
-        assert_eq!(cache.get("ns", &p), None);
-        assert_eq!(cache.corrupt(), 0, "a file that never existed is a plain miss");
-        let key = cache_key("ns", &p);
-        // Valid JSON, wrong value shape for f64.
-        std::fs::write(
-            dir.join(format!("{key:016x}.json")),
-            "{\"namespace\":\"ns\",\"params\":\"d=4\",\"value\":[1,2]}",
-        )
-        .unwrap();
-        assert_eq!(cache.get("ns", &p), None);
-        assert_eq!(cache.corrupt(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -267,35 +267,6 @@ impl Batch {
         BatchBuilder { name: name.to_string(), seed: 0, points: Vec::new() }
     }
 
-    /// An empty batch.
-    #[deprecated(since = "0.1.0", note = "use `Batch::builder(name).seed(seed).build()`")]
-    pub fn new(name: &str, seed: u64) -> Self {
-        Batch { name: name.to_string(), seed, points: Vec::new() }
-    }
-
-    /// A batch over every point of a grid.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Batch::builder(name).seed(seed).grid(&grid).build()`"
-    )]
-    pub fn from_grid(name: &str, seed: u64, grid: &Grid) -> Self {
-        Batch { name: name.to_string(), seed, points: grid.points() }
-    }
-
-    /// A batch of `trials` identical-shape jobs indexed by a `trial`
-    /// parameter — the Monte Carlo shape.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Batch::builder(name).seed(seed).trials(n).build()`"
-    )]
-    pub fn from_trials(name: &str, seed: u64, trials: usize) -> Self {
-        Batch {
-            name: name.to_string(),
-            seed,
-            points: (0..trials).map(|i| ParamPoint::new().with("trial", i as u64)).collect(),
-        }
-    }
-
     /// Appends a job; builder style.
     #[must_use]
     pub fn with_point(mut self, point: ParamPoint) -> Self {
@@ -325,10 +296,7 @@ impl Batch {
 }
 
 /// Builds a [`Batch`] from a name, an optional seed, and any mix of
-/// point sources — replacing the positional `Batch::new` /
-/// `Batch::from_grid` / `Batch::from_trials` constructors, whose
-/// argument order (`name, seed, …`? `seed, name, …`?) the callers kept
-/// having to look up.
+/// point sources.
 #[derive(Debug, Clone)]
 pub struct BatchBuilder {
     name: String,
@@ -360,8 +328,7 @@ impl BatchBuilder {
 
     /// Appends `trials` identical-shape points indexed by a `trial`
     /// parameter — the Monte Carlo shape. Indices continue from the
-    /// points already added, so a builder starting empty reproduces the
-    /// old `Batch::from_trials` numbering exactly.
+    /// points already added.
     #[must_use]
     pub fn trials(mut self, trials: usize) -> Self {
         let base = self.points.len();
@@ -443,26 +410,5 @@ mod tests {
         // Trial numbering continues from the points already present.
         assert_eq!(batch.points[3].u64("trial"), 3);
         assert_eq!(batch.points[4].u64("trial"), 4);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructors_still_match_the_builder() {
-        // The positional constructors remain on the API (deprecated)
-        // until external callers migrate; they must stay bit-compatible
-        // with the builder so a half-migrated codebase cannot diverge.
-        let grid = Grid::new().axis("d", [1.0, 2.0, 3.0]);
-        let old = Batch::from_grid("g", 5, &grid);
-        let new = Batch::builder("g").seed(5).grid(&grid).build();
-        assert_eq!(old.points, new.points);
-        assert_eq!(old.job_seed(2), new.job_seed(2));
-
-        let old = Batch::from_trials("t", 11, 4);
-        let new = Batch::builder("t").seed(11).trials(4).build();
-        assert_eq!(old.points, new.points);
-
-        let old = Batch::new("e", 1).with_point(ParamPoint::new().with("x", 2.0));
-        let new = Batch::builder("e").seed(1).point(ParamPoint::new().with("x", 2.0)).build();
-        assert_eq!(old.points, new.points);
     }
 }

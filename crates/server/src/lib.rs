@@ -38,9 +38,10 @@
 //!   (same [`proto::RequestBody::route_point`] identity) attach to one
 //!   in-flight computation ([`flight`]); followers cost no queue slot
 //!   and no recomputation.
-//! * **Cross-request batching** — queued `montecarlo`/`sweep` jobs
-//!   merge into one shared pool batch with bit-identical results to
-//!   per-request execution.
+//! * **Cross-request batching** — queued jobs of one cached endpoint
+//!   (`montecarlo`, `sweep`, `patientday`, `cohort`) merge into one
+//!   shared pool batch with bit-identical results to per-request
+//!   execution.
 //! * **Stage observability** — connection and worker stages
 //!   (`server.read` … `server.write`, plus
 //!   `server.singleflight.{leader,follower}` and `server.batch.merged`)
@@ -72,6 +73,7 @@
 
 pub mod client;
 pub mod conn;
+mod endpoint;
 pub mod flight;
 pub mod poller;
 pub mod proto;
@@ -95,7 +97,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Most extra same-endpoint jobs one worker folds into a shared pool
-/// batch on top of the job it popped (montecarlo/sweep only).
+/// batch on top of the job it popped (cached endpoints only).
 const BATCH_MERGE_MAX: usize = 31;
 
 /// Server tunables. The defaults serve the test/bench workloads; every
@@ -305,24 +307,18 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, registrar: &poller:
 /// reply, resolve flights. Exits when the queue is closed and drained.
 fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.queue.pop() {
-        // Fold queued montecarlo/sweep jobs into one shared pool batch:
-        // distinct points compute side by side, bit-identically to
-        // running them one request at a time (see DESIGN.md §14).
+        // Fold queued jobs of the same cached endpoint into one shared
+        // pool batch: distinct points compute side by side,
+        // bit-identically to running them one request at a time (see
+        // DESIGN.md §14).
+        let endpoint = job.body.endpoint();
         let mut group = vec![job];
-        match group[0].body {
-            RequestBody::Montecarlo(_) => group.extend(
+        if router::is_cached(&group[0].body) {
+            group.extend(
                 shared
                     .queue
-                    .drain_matching(BATCH_MERGE_MAX, |j| {
-                        matches!(j.body, RequestBody::Montecarlo(_))
-                    }),
-            ),
-            RequestBody::Sweep(_) => group.extend(
-                shared
-                    .queue
-                    .drain_matching(BATCH_MERGE_MAX, |j| matches!(j.body, RequestBody::Sweep(_))),
-            ),
-            _ => {}
+                    .drain_matching(BATCH_MERGE_MAX, |j| j.body.endpoint() == endpoint),
+            );
         }
         for _ in 1..group.len() {
             obs::count!("server.batch.merged");
@@ -435,45 +431,15 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Executes one dequeued group. A group of one goes through
-/// [`Router::handle_typed`] exactly as the unbatched server did; a
-/// merged group goes through the `_many` entry points, which are
-/// bit-identical to per-request execution. `None` marks a request
+/// Executes one dequeued group through [`Router::handle_many`], which
+/// is bit-identical to per-request execution. `None` marks a request
 /// whose handler panicked (already isolated).
 fn execute_group(
     shared: &Shared,
     live: &[(Job, u64)],
 ) -> Vec<Option<Result<router::Routed, router::RouteError>>> {
-    if live.len() == 1 {
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            shared.router.handle_typed(&live[0].0.body)
-        }));
-        return vec![result.ok()];
-    }
-    let run = std::panic::catch_unwind(AssertUnwindSafe(|| match &live[0].0.body {
-        RequestBody::Montecarlo(_) => {
-            let params: Vec<&proto::MontecarloParams> = live
-                .iter()
-                .map(|(j, _)| match &j.body {
-                    RequestBody::Montecarlo(p) => p,
-                    _ => unreachable!("montecarlo group"),
-                })
-                .collect();
-            shared.router.montecarlo_many(&params)
-        }
-        RequestBody::Sweep(_) => {
-            let params: Vec<&proto::SweepParams> = live
-                .iter()
-                .map(|(j, _)| match &j.body {
-                    RequestBody::Sweep(p) => p,
-                    _ => unreachable!("sweep group"),
-                })
-                .collect();
-            shared.router.sweep_many(&params)
-        }
-        _ => unreachable!("only montecarlo/sweep groups merge"),
-    }));
-    match run {
+    let bodies: Vec<&RequestBody> = live.iter().map(|(job, _)| &job.body).collect();
+    match std::panic::catch_unwind(AssertUnwindSafe(|| shared.router.handle_many(&bodies))) {
         Ok(results) => results.into_iter().map(Some).collect(),
         Err(_) => live.iter().map(|_| None).collect(),
     }

@@ -34,6 +34,7 @@
 //! {"id":7,"ok":false,"error":{"code":"bad_request","field":"steps","message":"…"}}
 //! ```
 
+use crate::endpoint::CachedEndpoint;
 use runtime::Json;
 
 /// Current protocol version. Bump when the wire shape gains
@@ -663,13 +664,12 @@ impl RequestBody {
     ///
     /// For `montecarlo`, `sweep`, `patientday` and `cohort` the pair is
     /// *exactly* the server's result-cache identity (namespace
-    /// `server-<endpoint>`, every default applied the same way the
-    /// router applies it) — the router builds its batch point from this
-    /// very method, so identical requests land on the replica that
-    /// already holds the cached result and hit it warm. `fig11` and
-    /// `fullchain` return their full request identity: deterministic
-    /// placement, and repeated requests colocate with any per-point
-    /// cache entries they populated.
+    /// `server-<endpoint>`, every default applied): both come from the
+    /// endpoint's one `CachedEndpoint::identity`, so identical requests
+    /// land on the replica that already holds the cached result and hit
+    /// it warm. `fig11` and `fullchain` return their full request
+    /// identity: deterministic placement, and repeated requests colocate
+    /// with any per-point cache entries they populated.
     pub fn route_point(&self) -> Option<(&'static str, runtime::ParamPoint)> {
         use runtime::ParamPoint;
         match self {
@@ -718,52 +718,10 @@ impl RequestBody {
                 }
                 Some(("server-fullchain", point))
             }
-            RequestBody::Montecarlo(p) => {
-                let seed = p
-                    .seed
-                    .unwrap_or(implant_core::montecarlo::MonteCarloStudy::ironic().seed);
-                Some((
-                    "server-montecarlo",
-                    ParamPoint::new()
-                        .with("scale", p.scale)
-                        .with("trials", p.trials)
-                        .with("seed", seed),
-                ))
-            }
-            RequestBody::Sweep(p) => Some((
-                "server-sweep",
-                ParamPoint::new()
-                    .with("medium", p.medium.as_str())
-                    .with("d_min_mm", p.d_min_mm)
-                    .with("d_max_mm", p.d_max_mm)
-                    .with("steps", p.steps),
-            )),
-            RequestBody::Patientday(p) => Some((
-                "server-patientday",
-                ParamPoint::new()
-                    .with("seed", p.seed)
-                    .with("hours", p.hours)
-                    .with("profile", p.profile.as_str())
-                    .with("battery_mah", p.battery_mah)
-                    .with("depth_mm", p.depth_mm)
-                    .with("drift_mm", p.drift_mm)
-                    .with("lateral_mm", p.lateral_mm)
-                    .with("tissue", p.tissue.as_str()),
-            )),
-            RequestBody::Cohort(p) => {
-                let mut point = ParamPoint::new()
-                    .with("seed", p.seed)
-                    .with("patients", p.patients)
-                    .with("offset", p.offset)
-                    .with("hours", p.hours)
-                    .with("enzyme", p.enzyme.as_str());
-                // Only a non-nominal prescription enters the identity,
-                // so every pre-duty cache key stays stable.
-                if p.duty != (1.0, 1.0) {
-                    point = point.with("duty_min", p.duty.0).with("duty_max", p.duty.1);
-                }
-                Some(("server-cohort", point))
-            }
+            RequestBody::Montecarlo(p) => Some(p.identity()),
+            RequestBody::Sweep(p) => Some(p.identity()),
+            RequestBody::Patientday(p) => Some(p.identity()),
+            RequestBody::Cohort(p) => Some(p.identity()),
         }
     }
 

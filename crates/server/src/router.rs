@@ -13,19 +13,19 @@
 //! [`Router::handle`] remains as the v1 adapter — the original
 //! stringly-typed entry point, now a thin decode-then-dispatch shim —
 //! so pre-v2 callers and tests keep their exact behaviour.
+//!
+//! The four cached endpoints are written once each, as `CachedEndpoint`
+//! impls, and reached through one table (`ENDPOINTS`).
 
+use crate::endpoint::{CachedEndpoint, Caches};
 use crate::proto::{
     CohortParams, DecodeError, DecodeLimits, ErrorCode, Fig11Params, Fig11Preset,
     FullchainParams, MontecarloParams, PatientdayParams, RequestBody, SweepParams,
 };
-use coils::tissue::TissueStack;
 use implant_core::cosim::CalibrationCache;
 use implant_core::fullchain::FullChainScenario;
-use implant_core::montecarlo::{MonteCarloStudy, VariationModel, YieldReport};
 use implant_core::scenario::Fig11Scenario;
-use link::budget::PowerBudget;
-use runtime::{Artifact, Batch, BatchRun, Json, ParamPoint, Pool, ResultCache};
-use scenario::{CohortReport, DaySummary};
+use runtime::{Artifact, Batch, JobOutcome, Json, ParamPoint, Pool};
 use std::collections::HashMap;
 use std::sync::Arc;
 use store::{CatchupBudget, Store};
@@ -83,12 +83,16 @@ impl Routed {
     }
 }
 
+/// One body's slot of a [`Router::handle_many`] call: `None` until an
+/// endpoint serves it.
+type Served = Option<Result<Routed, RouteError>>;
+
 /// What a [`Router::prewarm`] pass accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PrewarmReport {
     /// Keys the catch-up plan selected within budget.
     pub planned: u64,
-    /// Planned keys admitted into a typed cache.
+    /// Planned keys admitted into an endpoint's cache.
     pub admitted: u64,
     /// Assigned keys the budget excluded.
     pub budget_skipped: u64,
@@ -97,16 +101,14 @@ pub struct PrewarmReport {
     pub unreadable: u64,
 }
 
-/// Shared routing state: the worker pool the Monte Carlo batches run
-/// on, the bounded result caches, and the co-simulation calibration
-/// tables (fixed capacity, memory only, fresh at every start).
+/// Shared routing state: the worker pool cached-endpoint batches run
+/// on, one bounded result cache per cached endpoint, and the
+/// co-simulation calibration tables (fixed capacity, memory only, fresh
+/// at every start).
 pub struct Router {
     pool: Pool,
     calibrations: CalibrationCache,
-    mc_cache: ResultCache<YieldReport>,
-    sweep_cache: ResultCache<Vec<f64>>,
-    day_cache: ResultCache<DaySummary>,
-    cohort_cache: ResultCache<CohortReport>,
+    caches: Caches,
     store: Option<Arc<Store>>,
     mc_trial_cap: u64,
 }
@@ -136,23 +138,10 @@ impl Router {
         mc_trial_cap: u64,
         store: Option<Arc<Store>>,
     ) -> Self {
-        fn tiered<V: Artifact + Clone>(
-            capacity: usize,
-            store: &Option<Arc<Store>>,
-        ) -> ResultCache<V> {
-            let cache = ResultCache::bounded(capacity);
-            match store {
-                Some(s) => cache.with_tier(s.clone()),
-                None => cache,
-            }
-        }
         Router {
             pool: Pool::new(pool_workers),
             calibrations: CalibrationCache::new(),
-            mc_cache: tiered(cache_capacity, &store),
-            sweep_cache: tiered(cache_capacity, &store),
-            day_cache: tiered(cache_capacity, &store),
-            cohort_cache: tiered(cache_capacity, &store),
+            caches: Caches::new(cache_capacity, store.as_ref()),
             store,
             mc_trial_cap,
         }
@@ -163,18 +152,15 @@ impl Router {
         self.store.as_ref()
     }
 
-    /// Total `(hits, misses)` across the typed result caches.
+    /// Total `(hits, misses)` across the result caches.
     pub fn cache_stats(&self) -> (u64, u64) {
-        let sums = [
-            self.mc_cache.stats(),
-            self.sweep_cache.stats(),
-            self.day_cache.stats(),
-            self.cohort_cache.stats(),
-        ];
-        sums.iter().fold((0, 0), |(h, m), (sh, sm)| (h + sh, m + sm))
+        ENDPOINTS
+            .iter()
+            .map(|e| (e.stats)(&self.caches))
+            .fold((0, 0), |(h, m), (sh, sm)| (h + sh, m + sm))
     }
 
-    /// Pre-warms the typed caches from the shared tier: plans a
+    /// Pre-warms the result caches from the shared tier: plans a
     /// catch-up over the store's manifests for the keys `assign` says
     /// this replica owns (seeded, budget-bounded — see
     /// [`store::catchup`]), loads each planned object, and admits it
@@ -198,21 +184,10 @@ impl Router {
                 report.unreadable += 1;
                 continue;
             };
-            let admitted = match ns.as_str() {
-                "server-montecarlo" => YieldReport::from_json(&value)
-                    .map(|v| self.mc_cache.admit(planned.key, v))
-                    .is_some(),
-                "server-sweep" => Vec::<f64>::from_json(&value)
-                    .map(|v| self.sweep_cache.admit(planned.key, v))
-                    .is_some(),
-                "server-patientday" => DaySummary::from_json(&value)
-                    .map(|v| self.day_cache.admit(planned.key, v))
-                    .is_some(),
-                "server-cohort" => CohortReport::from_json(&value)
-                    .map(|v| self.cohort_cache.admit(planned.key, v))
-                    .is_some(),
-                _ => false,
-            };
+            let admitted = ENDPOINTS
+                .iter()
+                .find(|e| e.namespace == ns)
+                .is_some_and(|e| (e.admit)(&self.caches, planned.key, &value));
             if admitted {
                 report.admitted += 1;
             } else {
@@ -259,13 +234,31 @@ impl Router {
     /// control-plane body is routed here (the connection answers those
     /// inline).
     pub fn handle_typed(&self, body: &RequestBody) -> Result<Routed, RouteError> {
+        self.handle_many(&[body]).pop().expect("one result per body")
+    }
+
+    /// Dispatches many decoded data-plane bodies at once, with results
+    /// in input order and bit-identical to calling
+    /// [`Router::handle_typed`] on each in turn. The bodies of each
+    /// cached endpoint run as one shared pool batch, deduplicated by
+    /// cache key; `fig11` and `fullchain` bodies run one at a time.
+    pub fn handle_many(&self, bodies: &[&RequestBody]) -> Vec<Result<Routed, RouteError>> {
+        let mut out = vec![None; bodies.len()];
+        for endpoint in &ENDPOINTS {
+            (endpoint.serve)(self, bodies, &mut out);
+        }
+        out.into_iter()
+            .zip(bodies)
+            .map(|(served, body)| served.unwrap_or_else(|| self.handle_uncached(body)))
+            .collect()
+    }
+
+    /// The bodies no result cache holds: the transients and, refused
+    /// here, the control plane.
+    fn handle_uncached(&self, body: &RequestBody) -> Result<Routed, RouteError> {
         match body {
             RequestBody::Fig11(p) => self.fig11(p),
             RequestBody::Fullchain(p) => self.fullchain(p),
-            RequestBody::Montecarlo(p) => self.montecarlo(p),
-            RequestBody::Sweep(p) => self.sweep(p),
-            RequestBody::Patientday(p) => self.patientday(p),
-            RequestBody::Cohort(p) => self.cohort(p),
             control => Err(RouteError {
                 code: ErrorCode::UnknownEndpoint,
                 field: Some("endpoint".to_string()),
@@ -373,304 +366,99 @@ impl Router {
         ])))
     }
 
-    /// `montecarlo`: parametric yield at a requested mismatch level,
-    /// served from the bounded result cache when the same
-    /// (scale, trials, seed) point was already computed.
-    fn montecarlo(&self, p: &MontecarloParams) -> Result<Routed, RouteError> {
-        // One request is a merged batch of one; see `montecarlo_many`
-        // for the study construction and determinism argument.
-        self.montecarlo_many(&[p]).pop().expect("one result per request")
-    }
-
-    /// Cross-request batched `montecarlo`: many requests' studies run
-    /// as one shared pool batch, deduplicated by cache key, with
-    /// results bit-identical to calling [`Router::handle_typed`] once
-    /// per request in order. Each study draws only from its own
-    /// seed-derived streams (never the pool's per-job RNG), so the
-    /// merge changes scheduling, not arithmetic.
-    ///
-    /// Result documents map back occurrence-wise: the first request of
-    /// a duplicate group reports the actual cache outcome; later
-    /// occurrences observe the value as a hit, exactly as they would
-    /// have running sequentially.
-    pub fn montecarlo_many(
-        &self,
-        ps: &[&MontecarloParams],
-    ) -> Vec<Result<Routed, RouteError>> {
-        struct Slot {
-            study: MonteCarloStudy,
-            trials: u64,
-        }
-        if ps.is_empty() {
-            return Vec::new();
-        }
-        let mut slots: Vec<Slot> = Vec::new();
+    /// The one cached-endpoint path, over every body of `bodies` that
+    /// `E` claims. Duplicates collapse onto one slot by cache key; the
+    /// distinct points run as one pool batch against `E`'s own cache;
+    /// each request maps back occurrence-wise into `out`. The first
+    /// occurrence of a point reports the run's actual cache outcome,
+    /// later ones observe the value as a hit, exactly as sequential
+    /// execution would report.
+    fn serve<E: CachedEndpoint>(&self, bodies: &[&RequestBody], out: &mut [Served]) {
+        let mut unique: Vec<&E> = Vec::new();
         let mut points: Vec<ParamPoint> = Vec::new();
-        let mut by_key: HashMap<u64, usize> = HashMap::new();
-        // (slot, is_first_occurrence) per request, in input order.
-        let mut mapping: Vec<(usize, bool)> = Vec::with_capacity(ps.len());
-        for p in ps {
-            let mut study = MonteCarloStudy::ironic();
-            if let Some(seed) = p.seed {
-                study.seed = seed;
+        let mut slot_of: HashMap<u64, usize> = HashMap::new();
+        // (position, params, slot, first occurrence) per claimed body.
+        let mut mapping = Vec::new();
+        for (i, body) in bodies.iter().enumerate() {
+            let Some(p) = E::of(body) else { continue };
+            let point = p.point();
+            let next = unique.len();
+            let slot = *slot_of.entry(runtime::cache_key(E::NAMESPACE, &point)).or_insert(next);
+            if slot == next {
+                unique.push(p);
+                points.push(point);
             }
-            study.variation = VariationModel::typical_018um().scaled(p.scale);
-            let point = ParamPoint::new()
-                .with("scale", p.scale)
-                .with("trials", p.trials)
-                .with("seed", study.seed);
-            let key = runtime::cache_key("server-montecarlo", &point);
-            match by_key.get(&key) {
-                Some(&slot) => mapping.push((slot, false)),
-                None => {
-                    let slot = slots.len();
-                    by_key.insert(key, slot);
-                    mapping.push((slot, true));
-                    slots.push(Slot { study, trials: p.trials });
-                    points.push(point);
+            mapping.push((i, p, slot, slot == next));
+        }
+        if mapping.is_empty() {
+            return;
+        }
+        let batch = Batch { name: E::NAMESPACE.to_string(), seed: 0, points };
+        let run = self
+            .pool
+            .run_cached(&batch, E::cache(&self.caches), |ctx| unique[ctx.index].compute());
+        for (i, p, slot, first) in mapping {
+            let job = &run.results[slot];
+            out[i] = Some(match &job.outcome {
+                JobOutcome::Ok(value) => {
+                    let cached = !first || job.from_cache;
+                    Ok(Routed {
+                        result: p.render(value, cached),
+                        cache_hits: u64::from(cached),
+                        cache_misses: u64::from(!cached),
+                    })
                 }
-            }
+                // Formatted as the failure list of a one-point batch, so
+                // the message does not depend on what was merged.
+                JobOutcome::Panicked(msg) => Err(RouteError::internal(format!(
+                    "{} panicked: {:?}",
+                    E::JOB,
+                    [(0, msg)]
+                ))),
+            });
         }
-        let mut builder =
-            Batch::builder("server-montecarlo").seed(slots[0].study.seed);
-        for point in points {
-            builder = builder.point(point);
-        }
-        let batch = builder.build();
-        let run = self.pool.run_cached(&batch, &self.mc_cache, |ctx| {
-            let slot = &slots[ctx.index];
-            slot.study.run_serial(slot.trials as usize)
-        });
-        ps.iter()
-            .zip(mapping)
-            .map(|(p, (slot, first))| {
-                let report = run.value(slot).ok_or_else(|| {
-                    let msg = panic_message(&run, slot);
-                    RouteError::internal(format!("study panicked: {:?}", vec![(0usize, msg)]))
-                })?;
-                let (hits, misses, cached) = occurrence_cache_counts(&run, slot, first);
-                Ok(Routed {
-                    result: mc_result(p.scale, slots[slot].study.seed, report, cached),
-                    cache_hits: hits,
-                    cache_misses: misses,
-                })
-            })
-            .collect()
-    }
-
-    /// Cross-request batched `sweep` — same merge contract as
-    /// [`Router::montecarlo_many`]: deduplicated by the requests'
-    /// [`RequestBody::route_point`] identity, bit-identical to
-    /// per-request execution, occurrence-wise cache accounting.
-    pub fn sweep_many(&self, ps: &[&SweepParams]) -> Vec<Result<Routed, RouteError>> {
-        struct Slot {
-            budget: PowerBudget,
-            distances: Vec<f64>,
-        }
-        if ps.is_empty() {
-            return Vec::new();
-        }
-        let mut slots: Vec<Slot> = Vec::new();
-        let mut points: Vec<ParamPoint> = Vec::new();
-        let mut by_key: HashMap<u64, usize> = HashMap::new();
-        let mut mapping: Vec<(usize, bool)> = Vec::with_capacity(ps.len());
-        let mut ns = "server-sweep";
-        for p in ps {
-            let budget = match p.medium {
-                crate::proto::SweepMedium::Air => PowerBudget::ironic_air(),
-                crate::proto::SweepMedium::Sirloin => {
-                    PowerBudget::ironic_air().with_tissue(TissueStack::sirloin_17mm())
-                }
-            };
-            let distances = sweep_distances(p);
-            let (point_ns, point) =
-                RequestBody::Sweep((*p).clone()).route_point().expect("sweep is data-plane");
-            ns = point_ns;
-            let key = runtime::cache_key(point_ns, &point);
-            match by_key.get(&key) {
-                Some(&slot) => mapping.push((slot, false)),
-                None => {
-                    let slot = slots.len();
-                    by_key.insert(key, slot);
-                    mapping.push((slot, true));
-                    slots.push(Slot { budget, distances });
-                    points.push(point);
-                }
-            }
-        }
-        let mut builder = Batch::builder(ns);
-        for point in points {
-            builder = builder.point(point);
-        }
-        let batch = builder.build();
-        let run = self.pool.run_cached(&batch, &self.sweep_cache, |ctx| {
-            let slot = &slots[ctx.index];
-            slot.distances
-                .iter()
-                .map(|&d| slot.budget.received_power(d * 1e-3))
-                .collect::<Vec<f64>>()
-        });
-        ps.iter()
-            .zip(mapping)
-            .map(|(p, (slot, first))| {
-                let powers = run.value(slot).ok_or_else(|| {
-                    let msg = panic_message(&run, slot);
-                    RouteError::internal(format!("sweep panicked: {:?}", vec![(0usize, msg)]))
-                })?;
-                let (hits, misses, cached) = occurrence_cache_counts(&run, slot, first);
-                Ok(Routed {
-                    result: sweep_result(p, powers, cached),
-                    cache_hits: hits,
-                    cache_misses: misses,
-                })
-            })
-            .collect()
-    }
-
-    /// `sweep`: received power over a distance grid in air or through
-    /// the sirloin tissue stack. The whole request is one cache entry
-    /// whose point is exactly [`RequestBody::route_point`] — the same
-    /// identity the cluster hashes for placement — so a re-homed sweep
-    /// lands on a replica that already holds the grid.
-    fn sweep(&self, p: &SweepParams) -> Result<Routed, RouteError> {
-        // One request is a merged batch of one; see `sweep_many` for
-        // the merge contract.
-        self.sweep_many(&[p]).pop().expect("one result per request")
-    }
-
-    /// `patientday`: one seeded day on the patch, served as its
-    /// [`DaySummary`]. Cached under the request's own
-    /// [`RequestBody::route_point`] identity.
-    fn patientday(&self, p: &PatientdayParams) -> Result<Routed, RouteError> {
-        let (ns, point) =
-            RequestBody::Patientday(p.clone()).route_point().expect("patientday is data-plane");
-        let day = p.to_day();
-        let batch = Batch::builder(ns).seed(p.seed).point(point).build();
-        let run = self.pool.run_cached(&batch, &self.day_cache, |_ctx| {
-            // One job = one whole trace; the day seeds its own xoshiro
-            // stream, so the summary is identical however the request
-            // lands on workers.
-            day.run().summary()
-        });
-        let summary = run
-            .value(0)
-            .ok_or_else(|| RouteError::internal(format!("day panicked: {:?}", run.failures())))?;
-        Ok(Routed {
-            result: day_result(p, summary, run.metrics.cache_hits > 0),
-            cache_hits: run.metrics.cache_hits as u64,
-            cache_misses: run.metrics.cache_misses as u64,
-        })
-    }
-
-    /// `cohort`: one shard of a virtual-patient campaign, folded to its
-    /// exactly-mergeable [`CohortReport`]. Cached under the request's
-    /// own [`RequestBody::route_point`] identity, so shard repeats and
-    /// cluster re-homes hit warm.
-    fn cohort(&self, p: &CohortParams) -> Result<Routed, RouteError> {
-        let (ns, point) =
-            RequestBody::Cohort(p.clone()).route_point().expect("cohort is data-plane");
-        let cohort = p.to_cohort();
-        let batch = Batch::builder(ns).seed(p.seed).point(point).build();
-        let run = self.pool.run_cached(&batch, &self.cohort_cache, |_ctx| {
-            // One job = one whole shard, folded in patient order.
-            // Patient streams derive from (seed, offset + i), so the
-            // report is bit-identical to any other execution plan.
-            cohort.run_serial()
-        });
-        let report = run
-            .value(0)
-            .ok_or_else(|| RouteError::internal(format!("shard panicked: {:?}", run.failures())))?;
-        Ok(Routed {
-            result: cohort_result(p, report, run.metrics.cache_hits > 0),
-            cache_hits: run.metrics.cache_hits as u64,
-            cache_misses: run.metrics.cache_misses as u64,
-        })
     }
 }
 
-/// The panic report of one slot in a merged batch, formatted so the
-/// resulting `internal` message is byte-identical to what the same
-/// request would have produced as a single-point batch (`[(0, "…")]`).
-fn panic_message<R>(run: &BatchRun<R>, slot: usize) -> String {
-    run.failures()
-        .iter()
-        .find(|(i, _)| *i == slot)
-        .map(|(_, msg)| (*msg).to_string())
-        .unwrap_or_default()
+/// One cached endpoint's entry points, type-erased so that all of them
+/// sit in one table.
+struct Endpoint {
+    namespace: &'static str,
+    claims: fn(&RequestBody) -> bool,
+    serve: fn(&Router, &[&RequestBody], &mut [Served]),
+    render: fn(&RequestBody, &Json) -> Option<Json>,
+    admit: fn(&Caches, u64, &Json) -> bool,
+    stats: fn(&Caches) -> (u64, u64),
 }
 
-/// Occurrence-wise `(cache_hits, cache_misses, cached)` for one request
-/// of a merged batch: the first occurrence of a point reports the pool
-/// run's actual cache outcome; later occurrences observe the value the
-/// first one computed — a hit, exactly as sequential execution would
-/// report.
-fn occurrence_cache_counts<R>(run: &BatchRun<R>, slot: usize, first: bool) -> (u64, u64, bool) {
-    if first && !run.results[slot].from_cache {
-        (0, 1, false)
-    } else {
-        (1, 0, true)
+impl Endpoint {
+    const fn of<E: CachedEndpoint>() -> Self {
+        Endpoint {
+            namespace: E::NAMESPACE,
+            claims: |body| E::of(body).is_some(),
+            serve: Router::serve::<E>,
+            render: |body, value| Some(E::of(body)?.render(&E::Value::from_json(value)?, true)),
+            admit: |caches, key, value| {
+                E::Value::from_json(value).map(|v| E::cache(caches).admit(key, v)).is_some()
+            },
+            stats: |caches| E::cache(caches).stats(),
+        }
     }
 }
 
-/// `montecarlo` result document from its cached value type.
-fn mc_result(scale: f64, seed: u64, report: &YieldReport, cached: bool) -> Json {
-    Json::obj(vec![
-        ("scale", Json::Num(scale)),
-        ("trials", Json::Num(report.trials as f64)),
-        ("seed", Json::Num(seed as f64)),
-        ("passing", Json::Num(report.passing as f64)),
-        ("yield", Json::Num(report.yield_fraction())),
-        ("charge_ok", Json::Num(report.charge_ok as f64)),
-        ("downlink_ok", Json::Num(report.downlink_ok as f64)),
-        ("vo_ok", Json::Num(report.vo_ok as f64)),
-        ("vo_min_mean", Json::Num(report.vo_min_mean)),
-        ("vo_min_worst", Json::Num(report.vo_min_worst)),
-        ("cached", Json::Bool(cached)),
-    ])
-}
+/// The cached endpoints. A new one is a [`CachedEndpoint`] impl plus a
+/// row here.
+const ENDPOINTS: [Endpoint; 4] = [
+    Endpoint::of::<MontecarloParams>(),
+    Endpoint::of::<SweepParams>(),
+    Endpoint::of::<PatientdayParams>(),
+    Endpoint::of::<CohortParams>(),
+];
 
-/// The distance grid a sweep request describes (derived, not cached —
-/// it is a pure function of the parameters).
-fn sweep_distances(p: &SweepParams) -> Vec<f64> {
-    let steps = p.steps as usize;
-    let span = p.d_max_mm - p.d_min_mm;
-    (0..steps).map(|i| p.d_min_mm + span * i as f64 / (steps - 1) as f64).collect()
-}
-
-/// `sweep` result document from its cached value type.
-fn sweep_result(p: &SweepParams, powers: &[f64], cached: bool) -> Json {
-    let distances = sweep_distances(p);
-    Json::obj(vec![
-        ("medium", Json::Str(p.medium.as_str().to_string())),
-        ("distances_mm", Json::Arr(distances.iter().copied().map(Json::Num).collect())),
-        ("p_rx_mw", Json::Arr(powers.iter().map(|&w| Json::Num(w * 1e3)).collect())),
-        ("cached", Json::Bool(cached)),
-    ])
-}
-
-/// `patientday` result document from its cached value type.
-fn day_result(p: &PatientdayParams, summary: &DaySummary, cached: bool) -> Json {
-    Json::obj(vec![
-        ("seed", Json::Num(p.seed as f64)),
-        ("profile", Json::Str(p.profile.as_str().to_string())),
-        ("hours", Json::Num(p.hours)),
-        ("summary", summary.to_json()),
-        ("cached", Json::Bool(cached)),
-    ])
-}
-
-/// `cohort` result document from its cached value type.
-fn cohort_result(p: &CohortParams, report: &CohortReport, cached: bool) -> Json {
-    Json::obj(vec![
-        ("seed", Json::Num(p.seed as f64)),
-        ("offset", Json::Num(p.offset as f64)),
-        ("enzyme", Json::Str(p.enzyme.as_str().to_string())),
-        ("mean_life_h", Json::Num(report.mean_life_h())),
-        ("mean_p_rx_mw", Json::Num(report.mean_p_rx_mw())),
-        ("digest", Json::Str(format!("{:016x}", report.digest()))),
-        ("report", report.to_json()),
-        ("cached", Json::Bool(cached)),
-    ])
+/// True when `body` is a cached endpoint, whose queued requests a
+/// worker may merge into one [`Router::handle_many`] call.
+pub(crate) fn is_cached(body: &RequestBody) -> bool {
+    ENDPOINTS.iter().any(|e| (e.claims)(body))
 }
 
 /// Renders the full result document a server would serve for `body`
@@ -684,17 +472,7 @@ fn cohort_result(p: &CohortParams, report: &CohortReport, cached: bool) -> Json 
 /// request's cache identity can answer it straight from the store
 /// without any replica involved.
 pub fn render_cached_body(body: &RequestBody, value: &Json) -> Option<Json> {
-    match body {
-        RequestBody::Montecarlo(p) => {
-            let report = YieldReport::from_json(value)?;
-            let seed = p.seed.unwrap_or(MonteCarloStudy::ironic().seed);
-            Some(mc_result(p.scale, seed, &report, true))
-        }
-        RequestBody::Sweep(p) => Some(sweep_result(p, &Vec::<f64>::from_json(value)?, true)),
-        RequestBody::Patientday(p) => Some(day_result(p, &DaySummary::from_json(value)?, true)),
-        RequestBody::Cohort(p) => Some(cohort_result(p, &CohortReport::from_json(value)?, true)),
-        _ => None,
-    }
+    ENDPOINTS.iter().find_map(|e| (e.render)(body, value))
 }
 
 #[cfg(test)]
@@ -941,7 +719,7 @@ mod tests {
         assert_eq!(second.result.get("digest"), first.result.get("digest"));
         // The served report round-trips into the scenario type and its
         // digest matches a local run — the cluster-campaign contract.
-        let parsed = CohortReport::from_json(report).expect("report parses");
+        let parsed = scenario::CohortReport::from_json(report).expect("report parses");
         let local = scenario::Cohort {
             seed: 2013,
             patients: 8,
@@ -1045,19 +823,24 @@ mod tests {
         let dir = store_scratch("prewarm");
         let mc = params(vec![("trials", Json::Num(120.0)), ("seed", Json::Num(8.0))]);
         let sweep = params(vec![("steps", Json::Num(4.0))]);
+        let day = params(vec![("seed", Json::Num(6.0)), ("hours", Json::Num(2.0))]);
+        let shard = params(vec![("patients", Json::Num(3.0)), ("hours", Json::Num(2.0))]);
+        let requests =
+            [("montecarlo", &mc), ("sweep", &sweep), ("patientday", &day), ("cohort", &shard)];
         {
             let writer = stored_router(&dir, "r0");
-            writer.handle("montecarlo", &mc).unwrap();
-            writer.handle("sweep", &sweep).unwrap();
+            for (endpoint, p) in requests {
+                writer.handle(endpoint, p).unwrap();
+            }
         }
         let joiner = stored_router(&dir, "r1");
         let report = joiner.prewarm(|_| true, &CatchupBudget::default(), 42);
-        assert_eq!(report.planned, 2);
-        assert_eq!(report.admitted, 2);
+        assert_eq!(report.planned, 4);
+        assert_eq!(report.admitted, 4);
         assert_eq!(report.unreadable, 0);
         assert_eq!(report.budget_skipped, 0);
-        // Both endpoints now serve as pure cache hits.
-        for (endpoint, p) in [("montecarlo", &mc), ("sweep", &sweep)] {
+        // Every endpoint now serves as a pure cache hit.
+        for (endpoint, p) in requests {
             let routed = joiner.handle(endpoint, p).unwrap();
             assert_eq!(routed.cache_hits, 1, "{endpoint} must hit the pre-warmed cache");
             assert_eq!(routed.cache_misses, 0, "{endpoint}");
@@ -1131,15 +914,19 @@ mod tests {
         }
     }
 
-    fn mc(scale: f64, trials: u64, seed: u64) -> MontecarloParams {
-        MontecarloParams { scale, trials, seed: Some(seed) }
+    fn mc(scale: f64, trials: u64, seed: u64) -> RequestBody {
+        RequestBody::Montecarlo(MontecarloParams { scale, trials, seed: Some(seed) })
+    }
+
+    fn decoded(endpoint: &str, pairs: Vec<(&str, Json)>) -> RequestBody {
+        RequestBody::decode(endpoint, &params(pairs), &DecodeLimits::default()).unwrap()
     }
 
     #[test]
-    fn montecarlo_many_dedupes_duplicates_into_one_execution() {
+    fn handle_many_dedupes_duplicates_into_one_execution() {
         let r = router();
         let (a, b) = (mc(1.0, 150, 5), mc(1.0, 150, 6));
-        let out = r.montecarlo_many(&[&a, &a, &b]);
+        let out = r.handle_many(&[&a, &a, &b]);
         let [first, dup, distinct]: [&Routed; 3] =
             [&out[0], &out[1], &out[2]].map(|res| res.as_ref().expect("mc ok"));
 
@@ -1163,17 +950,32 @@ mod tests {
     }
 
     #[test]
-    fn montecarlo_many_is_bit_identical_to_the_serial_loop() {
+    fn handle_many_is_bit_identical_to_the_serial_loop() {
         let (batched, serial) = (router(), router());
-        let ps = [mc(1.0, 120, 9), mc(1.2, 80, 9), mc(1.0, 120, 9)];
-        let refs: Vec<&MontecarloParams> = ps.iter().collect();
-        let many = batched.montecarlo_many(&refs);
-        for (p, out) in ps.iter().zip(&many) {
-            let one = serial.montecarlo(p).expect("serial mc ok");
-            let out = out.as_ref().expect("batched mc ok");
-            // Same cache trajectory (the third request replays the
-            // first), so the whole document matches byte for byte.
-            assert_eq!(out.result.to_string(), one.result.to_string());
+        let hours = ("hours", Json::Num(2.0));
+        let day = decoded("patientday", vec![("seed", Json::Num(4.0)), hours.clone()]);
+        let shard = decoded("cohort", vec![("patients", Json::Num(3.0)), hours]);
+        let sweep = decoded("sweep", vec![("steps", Json::Num(3.0))]);
+        // Interleaved endpoints, with repeats of each.
+        let bodies = [
+            mc(1.0, 120, 9),
+            day.clone(),
+            mc(1.2, 80, 9),
+            shard.clone(),
+            sweep.clone(),
+            mc(1.0, 120, 9),
+            day,
+            shard,
+            sweep,
+        ];
+        let refs: Vec<&RequestBody> = bodies.iter().collect();
+        let many = batched.handle_many(&refs);
+        for (body, out) in bodies.iter().zip(&many) {
+            let one = serial.handle_typed(body).expect("serial ok");
+            let out = out.as_ref().expect("batched ok");
+            // Same cache trajectory (repeats replay their first
+            // occurrence), so the whole document matches byte for byte.
+            assert_eq!(out.result.to_string(), one.result.to_string(), "{}", body.endpoint());
             assert_eq!(
                 (out.cache_hits, out.cache_misses),
                 (one.cache_hits, one.cache_misses)
@@ -1182,7 +984,7 @@ mod tests {
     }
 
     #[test]
-    fn sweep_many_is_bit_identical_to_the_serial_loop() {
+    fn merged_sweeps_are_bit_identical_to_the_serial_loop() {
         let (batched, serial) = (router(), router());
         let air = SweepParams {
             d_min_mm: 2.0,
@@ -1191,11 +993,11 @@ mod tests {
             medium: SweepMedium::Air,
         };
         let tissue = SweepParams { medium: SweepMedium::Sirloin, ..air.clone() };
-        let ps = [air.clone(), tissue, air];
-        let refs: Vec<&SweepParams> = ps.iter().collect();
-        let many = batched.sweep_many(&refs);
-        for (p, out) in ps.iter().zip(&many) {
-            let one = serial.sweep(p).expect("serial sweep ok");
+        let bodies = [air.clone(), tissue, air].map(RequestBody::Sweep);
+        let refs: Vec<&RequestBody> = bodies.iter().collect();
+        let many = batched.handle_many(&refs);
+        for (body, out) in bodies.iter().zip(&many) {
+            let one = serial.handle_typed(body).expect("serial sweep ok");
             let out = out.as_ref().expect("batched sweep ok");
             assert_eq!(out.result.to_string(), one.result.to_string());
             assert_eq!(
@@ -1209,8 +1011,8 @@ mod tests {
     fn many_against_a_warm_cache_reports_every_occurrence_as_a_hit() {
         let r = router();
         let p = mc(1.0, 140, 3);
-        assert_eq!(r.montecarlo(&p).expect("warmup").cache_misses, 1);
-        for out in r.montecarlo_many(&[&p, &p]) {
+        assert_eq!(r.handle_typed(&p).expect("warmup").cache_misses, 1);
+        for out in r.handle_many(&[&p, &p]) {
             let out = out.expect("warm mc ok");
             assert_eq!((out.cache_hits, out.cache_misses), (1, 0));
             assert_eq!(out.result.get("cached"), Some(&Json::Bool(true)));
@@ -1220,19 +1022,19 @@ mod tests {
     #[test]
     fn empty_batches_are_a_no_op() {
         let r = router();
-        assert!(r.montecarlo_many(&[]).is_empty());
-        assert!(r.sweep_many(&[]).is_empty());
+        assert!(r.handle_many(&[]).is_empty());
+        assert_eq!(r.cache_stats(), (0, 0));
     }
 
     #[test]
     fn single_element_batch_matches_the_direct_call() {
         let r = router();
         let p = mc(1.0, 110, 5);
-        let batched = r.montecarlo_many(&[&p]);
+        let batched = r.handle_many(&[&p]);
         assert_eq!(batched.len(), 1);
         let batched = batched[0].as_ref().expect("batch of one ok");
         assert_eq!((batched.cache_hits, batched.cache_misses), (0, 1));
-        let direct = Router::new(1, 16, 100_000).montecarlo(&p).expect("direct ok");
+        let direct = Router::new(1, 16, 100_000).handle_typed(&p).expect("direct ok");
         assert_eq!(batched.result.get("vo_min_mean"), direct.result.get("vo_min_mean"));
     }
 }

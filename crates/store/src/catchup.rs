@@ -39,7 +39,7 @@ impl Default for CatchupBudget {
 pub struct PlannedKey {
     /// The FNV cache identity to pre-warm.
     pub key: u64,
-    /// Cache namespace (selects the typed cache to admit into).
+    /// Cache namespace (selects the endpoint cache to admit into).
     pub namespace: String,
     /// Encoded object size, as recorded by the writer's manifest.
     pub bytes: u64,

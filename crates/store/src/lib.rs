@@ -1,14 +1,13 @@
 //! `implant-store`: the shared, content-addressed artifact tier.
 //!
 //! Every replica's [`runtime::ResultCache`] is private; this crate is
-//! the tier underneath that they all share. It generalizes the
-//! `IMPLANT_CACHE_DIR` on-disk JSON format: keys are the existing FNV
-//! cache identities (byte-identical to the server's `route_point()`
-//! keys, so a routing layer can address artifacts without holding a
-//! cache), values are written **atomically** (unique temp file +
-//! rename) by the owning replica, and each replica maintains a
-//! manifest so any member can enumerate another's warm keys without
-//! scanning the object directory.
+//! the tier underneath that they all share, and the repository's only
+//! on-disk result format. Keys are the existing FNV cache identities
+//! (byte-identical to the server's `route_point()` keys, so a routing
+//! layer can address artifacts without holding a cache), values are
+//! written **atomically** (unique temp file + rename) by the owning
+//! replica, and each replica maintains a manifest so any member can
+//! enumerate another's warm keys without scanning the object directory.
 //!
 //! Disk layout under the store root:
 //!
@@ -17,13 +16,11 @@
 //! manifests/<replica>.json     {"replica": .., "entries": [{key, namespace, bytes}, ..]}
 //! ```
 //!
-//! The object format is byte-compatible with `ResultCache::with_dir`
-//! artifacts, which is what makes the store a drop-in second tier: the
-//! cache's `ArtifactTier` hook points here, reads that fail to parse
-//! count `store.corrupt` and fall back to recompute, and the two
-//! cluster protocols built on top — catch-up ([`catchup`]) and hedged
-//! reads (`cluster::ClusterClient`) — only ever see complete
-//! artifacts because of the rename barrier.
+//! The store is a drop-in second tier: the cache's `ArtifactTier` hook
+//! points here, reads that fail to parse count `store.corrupt` and fall
+//! back to recompute, and the two cluster protocols built on top —
+//! catch-up ([`catchup`]) and hedged reads (`cluster::ClusterClient`) —
+//! only ever see complete artifacts because of the rename barrier.
 
 use runtime::{atomic_write, ArtifactTier, Json};
 use std::collections::BTreeMap;
@@ -385,24 +382,6 @@ mod tests {
         assert!(!store.contains(18));
         assert_eq!(store.stats().writes, 1);
         assert_eq!(store.stats().reads, 2);
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn objects_are_byte_compatible_with_result_cache_artifacts() {
-        use runtime::{cache_key, ParamPoint, ResultCache};
-        let root = scratch("compat");
-        let store = Store::open(&root, "r0").unwrap();
-        let point = ParamPoint::new().with("trials", 40u64).with("seed", 9u64);
-        store.put(
-            cache_key("ns", &point),
-            "ns",
-            &point.canonical(),
-            &Json::Num(0.125),
-        );
-        // A plain disk cache pointed at objects/ must read the value.
-        let cache: ResultCache<f64> = ResultCache::with_dir(root.join("objects"));
-        assert_eq!(cache.get("ns", &point), Some(0.125));
         let _ = std::fs::remove_dir_all(&root);
     }
 

