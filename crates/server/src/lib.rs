@@ -465,6 +465,16 @@ impl ServerHandle {
         &self.shared
     }
 
+    /// How many of the threads this server spawned — the acceptor, the
+    /// pollers and the workers — are still running. Fixed by the
+    /// config, whatever the number of open connections; unlike the
+    /// process-wide thread count, other threads in the process do not
+    /// move it.
+    pub fn threads(&self) -> usize {
+        let live = |t: &JoinHandle<()>| usize::from(!t.is_finished());
+        live(&self.accept) + self.workers.iter().map(live).sum::<usize>() + self.pollers.threads()
+    }
+
     /// Starts the drain, exactly like a `shutdown` request would.
     pub fn shutdown(&self) {
         self.shared.begin_shutdown();

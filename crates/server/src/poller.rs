@@ -9,10 +9,16 @@
 //! lines go to a [`LineService`], and responses are flushed without
 //! blocking. A connection that keeps yielding `WouldBlock` is polled on
 //! an exponential per-connection backoff (500 µs doubling to 256 ms),
-//! so one poller holds thousands of idle sockets at a few percent CPU
-//! while a conversational connection stays at millisecond latency.
+//! so one poller holds thousands of idle sockets at a few percent CPU.
 //! Workers wake the pollers through a [`Waker`] the moment a reply is
 //! ready, so queued work never waits out a backoff.
+//!
+//! A conversational peer sends its next request right after it reads a
+//! reply, so queuing a reply re-arms the connection on a short ramp
+//! instead: the next read is due at once, and each empty read doubles
+//! the wait from 16 µs. A peer that answers within tens of microseconds
+//! is read on the next sweep or two; one that stays quiet rejoins the
+//! 500 µs → 256 ms schedule after five empty reads.
 //!
 //! The service decides what a line means; the poller only frames,
 //! paces and flushes. One request may be outstanding per connection at
@@ -32,6 +38,10 @@ use std::time::{Duration, Instant};
 /// Floor of the per-connection read backoff (a hot connection is
 /// re-polled this soon after a `WouldBlock`).
 const BACKOFF_MIN: Duration = Duration::from_micros(500);
+/// Start of the ramp a connection is re-armed on once a reply to it is
+/// queued; it doubles on each empty read and passes `BACKOFF_MIN` after
+/// five of them.
+const REARM_MIN: Duration = Duration::from_micros(16);
 /// Ceiling of the per-connection read backoff (an idle connection
 /// costs one failed read syscall per this interval).
 const BACKOFF_MAX: Duration = Duration::from_millis(256);
@@ -189,6 +199,11 @@ impl PollerPool {
         Waker { pollers: self.pollers.clone() }
     }
 
+    /// How many poller threads are still running.
+    pub(crate) fn threads(&self) -> usize {
+        self.threads.iter().filter(|t| !t.is_finished()).count()
+    }
+
     /// Stops the pool: each poller drains still-pending replies, flushes
     /// what it can and drops its connections. Call after the workers
     /// have exited so every pending reply has already been sent.
@@ -261,6 +276,14 @@ impl Conn {
         self.idle_since = now;
     }
 
+    /// Queues a reply and re-arms the read pace on the short ramp: the
+    /// peer's next request is likely only a round trip away.
+    fn reply(&mut self, line: &str, now: Instant) {
+        self.push_line(line);
+        self.reset_pace(now);
+        self.backoff = REARM_MIN;
+    }
+
     fn flushed(&self) -> bool {
         self.outpos == self.outbuf.len()
     }
@@ -268,7 +291,7 @@ impl Conn {
     /// Frames buffered bytes into lines and feeds them to the service,
     /// stopping at the first `Pending` (strict one-outstanding-request
     /// ordering). Returns whether any line was consumed.
-    fn parse(&mut self, service: &dyn LineService) -> bool {
+    fn parse(&mut self, service: &dyn LineService, now: Instant) -> bool {
         let mut progress = false;
         while self.pending.is_none() && !self.closing {
             match self.inbuf.iter().position(|&b| b == b'\n') {
@@ -277,12 +300,12 @@ impl Conn {
                     progress = true;
                     if std::mem::take(&mut self.overflow) || line.len() > MAX_LINE {
                         let response = service.oversized_line();
-                        self.push_line(&response);
+                        self.reply(&response, now);
                         continue;
                     }
                     match service.handle_line(&line) {
                         LineAction::Skip => {}
-                        LineAction::Inline(response) => self.push_line(&response),
+                        LineAction::Inline(response) => self.reply(&response, now),
                         LineAction::Pending(rx) => self.pending = Some(rx),
                     }
                 }
@@ -330,9 +353,8 @@ impl Conn {
         if let Some(rx) = &self.pending {
             match rx.try_recv() {
                 Ok(line) => {
-                    self.push_line(&line);
+                    self.reply(&line, now);
                     self.pending = None;
-                    self.reset_pace(now);
                     progress = true;
                 }
                 Err(mpsc::TryRecvError::Empty) => {}
@@ -341,7 +363,7 @@ impl Conn {
                     if line.is_empty() {
                         return Tick::Drop;
                     }
-                    self.push_line(&line);
+                    self.reply(&line, now);
                     self.pending = None;
                     progress = true;
                 }
@@ -349,7 +371,7 @@ impl Conn {
         }
 
         // Bytes that arrived earlier may hold the next request.
-        progress |= self.parse(service);
+        progress |= self.parse(service, now);
 
         // Read, on this connection's own pace.
         if self.pending.is_none() && !self.closing && now >= self.next_read {
@@ -363,7 +385,7 @@ impl Conn {
                     self.inbuf.extend_from_slice(&scratch[..n]);
                     self.reset_pace(now);
                     progress = true;
-                    progress |= self.parse(service);
+                    progress |= self.parse(service, now);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     self.backoff = (self.backoff * 2).min(BACKOFF_MAX);
@@ -603,6 +625,102 @@ mod tests {
 
         drop(conn);
         pool.stop_and_join();
+    }
+
+    /// Answers every line through a channel whose sender the test holds,
+    /// so the test decides when the reply is ready.
+    struct HeldReply {
+        tx: Mutex<Option<mpsc::Sender<String>>>,
+    }
+
+    impl LineService for HeldReply {
+        fn handle_line(&self, _line: &[u8]) -> LineAction {
+            let (tx, rx) = mpsc::channel();
+            *self.tx.lock().unwrap() = Some(tx);
+            LineAction::Pending(rx)
+        }
+
+        fn oversized_line(&self) -> String {
+            "too long".to_string()
+        }
+    }
+
+    /// A `Conn` on the server end of a loopback pair, plus the client end.
+    fn loopback_conn() -> (Conn, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        (Conn::register(server, Instant::now()).unwrap(), client)
+    }
+
+    /// Ticks `conn` at its own read deadline until it stops reading: a
+    /// request is outstanding or `budget` ticks ran out.
+    fn tick_until_pending(conn: &mut Conn, service: &dyn LineService, budget: usize) {
+        let mut scratch = [0u8; 256];
+        for _ in 0..budget {
+            if conn.pending.is_some() {
+                return;
+            }
+            let now = conn.next_read.max(Instant::now());
+            assert!(!matches!(conn.tick(service, &mut scratch, now), Tick::Drop));
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        panic!("the request never reached the service");
+    }
+
+    #[test]
+    fn a_pending_reply_re_arms_the_next_read_on_the_short_ramp() {
+        let service = HeldReply { tx: Mutex::new(None) };
+        let (mut conn, mut client) = loopback_conn();
+        client.write_all(b"request\n").unwrap();
+        tick_until_pending(&mut conn, &service, 1_000);
+
+        // The worker answers; the tick that queues the reply also reads
+        // (finding nothing: the peer has not seen the reply yet).
+        service.tx.lock().unwrap().take().unwrap().send("answer".to_string()).unwrap();
+        let now = Instant::now();
+        let mut scratch = [0u8; 256];
+        assert!(matches!(conn.tick(&service, &mut scratch, now), Tick::Progress));
+        assert!(conn.pending.is_none() && conn.flushed(), "reply queued and written");
+        let due_in = conn.next_read.saturating_duration_since(now);
+        assert!(
+            due_in <= REARM_MIN * 2,
+            "next read due {due_in:?} after a reply; the re-arm ramp starts at {REARM_MIN:?}"
+        );
+        assert_eq!(conn.backoff, REARM_MIN * 2, "one empty read doubles the ramp once");
+
+        let mut line = String::new();
+        BufReader::new(client).read_line(&mut line).unwrap();
+        assert_eq!(line.trim_end(), "answer");
+    }
+
+    #[test]
+    fn a_quiet_connection_rejoins_the_idle_schedule_and_reaches_the_cap() {
+        let service = HeldReply { tx: Mutex::new(None) };
+        let (mut conn, _client) = loopback_conn();
+        let mut scratch = [0u8; 256];
+        let mut now = Instant::now();
+        conn.reply("unprompted", now);
+        // Every tick lands exactly on the read deadline and reads
+        // nothing, so each one is one `WouldBlock`.
+        let mut empty_reads = 0;
+        while conn.backoff < BACKOFF_MIN {
+            now = conn.next_read;
+            let _ = conn.tick(&service, &mut scratch, now);
+            empty_reads += 1;
+        }
+        assert_eq!(empty_reads, 5, "the ramp hands over to the idle schedule in five reads");
+        while conn.backoff < BACKOFF_MAX {
+            now = conn.next_read;
+            let _ = conn.tick(&service, &mut scratch, now);
+            empty_reads += 1;
+            assert!(empty_reads < 64, "backoff stalled at {:?}", conn.backoff);
+        }
+        assert_eq!(conn.backoff, BACKOFF_MAX);
+        now = conn.next_read;
+        let _ = conn.tick(&service, &mut scratch, now);
+        assert_eq!(conn.backoff, BACKOFF_MAX, "the cap holds");
+        assert_eq!(conn.next_read - now, BACKOFF_MAX);
     }
 
     #[test]

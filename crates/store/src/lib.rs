@@ -13,8 +13,17 @@
 //!
 //! ```text
 //! objects/<key:016x>.json      {"namespace": .., "params": .., "value": ..}
-//! manifests/<replica>.json     {"replica": .., "entries": [{key, namespace, bytes}, ..]}
+//! manifests/<replica>.json     snapshot: {"replica": .., "entries": [{key, namespace, bytes}, ..]}
+//! manifests/<replica>.log      journal: one {key, namespace, bytes} line per put since the snapshot
 //! ```
+//!
+//! A write costs the object file plus one appended journal line, so it
+//! does not grow with the store. The owner folds its journal into a new
+//! snapshot (temp file + rename, then the journal is removed) when it
+//! opens the store and when it runs [`Store::gc`]; readers replay the
+//! journal over the snapshot and skip a torn line (see [`manifest`]).
+//! `gc` marks pruned keys in *peer* manifests with tombstone lines
+//! appended to their journals, since a live peer may be appending too.
 //!
 //! The store is a drop-in second tier: the cache's `ArtifactTier` hook
 //! points here, reads that fail to parse count `store.corrupt` and fall
@@ -22,9 +31,11 @@
 //! catch-up ([`catchup`]) and hedged reads (`cluster::ClusterClient`) —
 //! only ever see complete artifacts because of the rename barrier.
 
+use manifest::{journal_path, replica_names, snapshot_path};
 use runtime::{atomic_write, ArtifactTier, Json};
 use std::collections::BTreeMap;
-use std::io;
+use std::fs::File;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -44,7 +55,8 @@ pub struct GcReport {
     pub expired: Vec<u64>,
     /// Total bytes of pruned objects.
     pub bytes_reclaimed: u64,
-    /// Manifest files rewritten to drop pruned keys.
+    /// Manifests updated to drop pruned keys: this replica's compacted
+    /// snapshot, and each peer journal that got tombstones.
     pub manifests_rewritten: u64,
 }
 
@@ -67,16 +79,23 @@ pub struct StoreStats {
 /// Many handles — across threads and across processes — may point at
 /// the same root. Writers only ever rename complete temp files into
 /// place, so readers never observe a torn object; the manifest of
-/// *this* replica is guarded by an in-process mutex and rewritten
-/// atomically on every update.
+/// *this* replica is guarded by an in-process mutex and gains one
+/// journal line per update.
 pub struct Store {
     root: PathBuf,
     replica: String,
-    manifest: Mutex<Manifest>,
+    manifest: Mutex<OwnManifest>,
     writes: AtomicU64,
     reads: AtomicU64,
     misses: AtomicU64,
     corrupt: AtomicU64,
+}
+
+/// This replica's manifest in memory, and the append handle on its
+/// journal (opened by the first `put` after a compaction).
+struct OwnManifest {
+    manifest: Manifest,
+    journal: Option<File>,
 }
 
 impl std::fmt::Debug for Store {
@@ -93,23 +112,32 @@ impl Store {
     ///
     /// A replica that restarts with the same name resumes its previous
     /// manifest — its keys are still on disk, and catch-up planning
-    /// relies on the manifest surviving the process.
+    /// relies on the manifest surviving the process. A journal left by
+    /// the previous process is folded into a fresh snapshot here.
+    ///
+    /// # Errors
+    ///
+    /// When the store directories cannot be created, or a left-over
+    /// journal cannot be compacted.
     pub fn open(root: impl Into<PathBuf>, replica: &str) -> io::Result<Store> {
         let root = root.into();
         std::fs::create_dir_all(root.join("objects"))?;
         std::fs::create_dir_all(root.join("manifests"))?;
-        let manifest_path = root.join("manifests").join(format!("{replica}.json"));
-        let manifest = Manifest::load(&manifest_path)
+        let manifest = Manifest::load_replica(&root.join("manifests"), replica)
             .unwrap_or_else(|| Manifest::new(replica));
-        Ok(Store {
+        let store = Store {
             root,
             replica: replica.to_string(),
-            manifest: Mutex::new(manifest),
+            manifest: Mutex::new(OwnManifest { manifest, journal: None }),
             writes: AtomicU64::new(0),
             reads: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
-        })
+        };
+        if store.journal_path().exists() {
+            store.compact(&mut store.manifest.lock().expect("manifest lock"))?;
+        }
+        Ok(store)
     }
 
     /// The store root directory.
@@ -126,8 +154,25 @@ impl Store {
         self.root.join("objects").join(format!("{key:016x}.json"))
     }
 
-    fn manifest_path(&self) -> PathBuf {
-        self.root.join("manifests").join(format!("{}.json", self.replica))
+    fn manifest_dir(&self) -> PathBuf {
+        self.root.join("manifests")
+    }
+
+    fn journal_path(&self) -> PathBuf {
+        journal_path(&self.manifest_dir(), &self.replica)
+    }
+
+    /// Writes this replica's manifest as a new snapshot, then removes
+    /// the journal it supersedes. A crash in between leaves both, and
+    /// the next replay of the journal over the snapshot changes nothing.
+    fn compact(&self, own: &mut OwnManifest) -> io::Result<()> {
+        let snapshot = snapshot_path(&self.manifest_dir(), &self.replica);
+        atomic_write(&snapshot, own.manifest.to_json().to_string().as_bytes())?;
+        own.journal = None;
+        match std::fs::remove_file(self.journal_path()) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
+            _ => Ok(()),
+        }
     }
 
     /// Writes the object for `key` atomically and records it in this
@@ -147,9 +192,18 @@ impl Store {
             return;
         }
         self.writes.fetch_add(1, Ordering::Relaxed);
-        let mut manifest = self.manifest.lock().expect("manifest lock");
-        manifest.record(key, namespace, len);
-        let _ = atomic_write(&self.manifest_path(), manifest.to_json().to_string().as_bytes());
+        let mut own = self.manifest.lock().expect("manifest lock");
+        let line = own.manifest.record(key, namespace, len).journal_line(false);
+        if own.journal.is_none() {
+            own.journal = File::options().create(true).append(true).open(self.journal_path()).ok();
+        }
+        // One write of one whole line; on failure the handle is dropped
+        // and the next put reopens it.
+        if let Some(journal) = own.journal.as_mut() {
+            if journal.write_all(line.as_bytes()).is_err() {
+                own.journal = None;
+            }
+        }
     }
 
     /// Reads the *value* of the object for `key`; `None` on a missing
@@ -161,19 +215,22 @@ impl Store {
     /// Reads the full object for `key`: `(namespace, params, value)`.
     pub fn get_object(&self, key: u64) -> Option<(String, String, Json)> {
         let _span = obs::span!("store.read");
-        let path = self.object_path(key);
-        if !path.exists() {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let parsed = std::fs::read_to_string(&path).ok().and_then(|text| {
-            let doc = Json::parse(&text)?;
-            Some((
-                doc.get("namespace")?.as_str()?.to_string(),
-                doc.get("params")?.as_str()?.to_string(),
-                doc.get("value")?.clone(),
-            ))
-        });
+        // One read, no `exists` probe first: an object that `gc` prunes
+        // mid-read is a plain miss, not corruption.
+        let parsed = match std::fs::read_to_string(self.object_path(key)) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                return None;
+            }
+            Err(_) => None,
+            Ok(text) => Json::parse(&text).and_then(|doc| {
+                Some((
+                    doc.get("namespace")?.as_str()?.to_string(),
+                    doc.get("params")?.as_str()?.to_string(),
+                    doc.get("value")?.clone(),
+                ))
+            }),
+        };
         match parsed {
             Some(object) => {
                 self.reads.fetch_add(1, Ordering::Relaxed);
@@ -196,14 +253,14 @@ impl Store {
         self.object_path(key).exists()
     }
 
-    /// Every manifest in the store, sorted by replica name — the view
-    /// a rejoining member uses to enumerate the cluster's warm keys.
+    /// Every manifest in the store (snapshot plus journal), sorted by
+    /// replica name — the view a rejoining member uses to enumerate the
+    /// cluster's warm keys.
     pub fn manifests(&self) -> Vec<Manifest> {
-        let Ok(entries) = std::fs::read_dir(self.root.join("manifests")) else {
-            return Vec::new();
-        };
-        let mut manifests: Vec<Manifest> = entries
-            .filter_map(|e| Manifest::load(&e.ok()?.path()))
+        let dir = self.manifest_dir();
+        let mut manifests: Vec<Manifest> = replica_names(&dir)
+            .iter()
+            .filter_map(|name| Manifest::load_replica(&dir, name))
             .collect();
         manifests.sort_by(|a, b| a.replica.cmp(&b.replica));
         manifests
@@ -244,15 +301,24 @@ impl Store {
     }
 
     /// Prunes every object older than `ttl` (by file modification
-    /// time — a re-`put` of a key refreshes its clock) and rewrites
-    /// every manifest that indexed a pruned key, atomically, so no
-    /// manifest ever points at an object the sweep removed.
+    /// time — a re-`put` of a key refreshes its clock) and drops every
+    /// pruned key from every manifest, so no manifest points at an
+    /// object the sweep removed.
+    ///
+    /// This replica's manifest is compacted under its lock: the journal
+    /// (with any tombstones peers appended to it) is replayed, pruned
+    /// keys are dropped, and a new snapshot replaces snapshot and
+    /// journal. A peer manifest may belong to a live process that is
+    /// appending to it, so it is never rewritten; a tombstone line per
+    /// pruned key it indexes is appended to its journal instead.
     ///
     /// Safe to run from any handle: object removal is idempotent and
-    /// manifest rewrites go through the same temp-file + rename
-    /// barrier as ordinary updates. In a live cluster each replica
-    /// sweeps with the same TTL, so concurrently refreshed keys are
-    /// simply re-recorded by their owner's next write.
+    /// tombstones replay idempotently. A tombstone that lands while its
+    /// peer is compacting can be lost; that manifest then still names
+    /// the pruned key, which catch-up reads as a miss. In a live
+    /// cluster each replica sweeps with the same TTL, so concurrently
+    /// refreshed keys are simply re-recorded by their owner's next
+    /// write.
     ///
     /// # Errors
     ///
@@ -282,9 +348,6 @@ impl Store {
                 pruned.push((modified, key, meta.len()));
             }
         }
-        if pruned.is_empty() {
-            return Ok(report);
-        }
         pruned.sort();
         report.bytes_reclaimed = pruned.iter().map(|&(_, _, bytes)| bytes).sum();
         report.expired = pruned.into_iter().map(|(_, key, _)| key).collect();
@@ -292,35 +355,49 @@ impl Store {
         // This handle's manifest first, under the write lock, so a
         // concurrent `put` cannot resurrect a pruned entry in memory.
         {
-            let mut manifest = self.manifest.lock().expect("manifest lock");
+            let mut own = self.manifest.lock().expect("manifest lock");
+            let journal = std::fs::read_to_string(self.journal_path()).ok();
+            if let Some(text) = &journal {
+                own.manifest.replay(text);
+            }
             let mut changed = false;
             for key in &report.expired {
-                changed |= manifest.remove(*key);
+                changed |= own.manifest.remove(*key);
             }
-            if changed
-                && atomic_write(&self.manifest_path(), manifest.to_json().to_string().as_bytes())
-                    .is_ok()
-            {
-                report.manifests_rewritten += 1;
+            if changed || journal.is_some() {
+                let compacted = self.compact(&mut own).is_ok();
+                report.manifests_rewritten += u64::from(compacted && changed);
             }
         }
+        if report.expired.is_empty() {
+            return Ok(report);
+        }
         // Then every peer manifest that still indexes a pruned key.
-        if let Ok(entries) = std::fs::read_dir(self.root.join("manifests")) {
-            for entry in entries.filter_map(|e| e.ok()) {
-                let path = entry.path();
-                if path == self.manifest_path() {
-                    continue;
+        let dir = self.manifest_dir();
+        for name in replica_names(&dir) {
+            if name == self.replica {
+                continue;
+            }
+            let Some(manifest) = Manifest::load_replica(&dir, &name) else { continue };
+            // The leading newline ends a torn line the peer may have
+            // left, so the first tombstone parses; blank lines replay as
+            // nothing.
+            let mut tombstones = String::from("\n");
+            for key in &report.expired {
+                if let Some(entry) = manifest.get(*key) {
+                    tombstones.push_str(&entry.journal_line(true));
                 }
-                let Some(mut manifest) = Manifest::load(&path) else { continue };
-                let mut changed = false;
-                for key in &report.expired {
-                    changed |= manifest.remove(*key);
-                }
-                if changed
-                    && atomic_write(&path, manifest.to_json().to_string().as_bytes()).is_ok()
-                {
-                    report.manifests_rewritten += 1;
-                }
+            }
+            if tombstones.len() == 1 {
+                continue;
+            }
+            let appended = File::options()
+                .create(true)
+                .append(true)
+                .open(journal_path(&dir, &name))
+                .and_then(|mut journal| journal.write_all(tombstones.as_bytes()));
+            if appended.is_ok() {
+                report.manifests_rewritten += 1;
             }
         }
         Ok(report)
@@ -565,6 +642,201 @@ mod tests {
         assert!(root.join("objects").join("README").exists());
         // An idempotent second sweep is a no-op too.
         assert_eq!(store.gc(Duration::from_secs(60)).unwrap().expired, Vec::<u64>::new());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    fn journal_of(root: &Path, replica: &str) -> PathBuf {
+        journal_path(&root.join("manifests"), replica)
+    }
+
+    fn snapshot_of(root: &Path, replica: &str) -> PathBuf {
+        snapshot_path(&root.join("manifests"), replica)
+    }
+
+    fn keys_of(manifest: &Manifest) -> Vec<u64> {
+        manifest.entries().map(|e| e.key).collect()
+    }
+
+    /// Per-put cost is flat in the store's size: thousands of puts leave
+    /// the snapshot byte-for-byte alone and each adds exactly one
+    /// journal line of the same length, however many came before.
+    #[test]
+    fn a_put_appends_one_journal_line_and_never_touches_the_snapshot() {
+        let root = scratch("flat");
+        {
+            let store = Store::open(&root, "r0").unwrap();
+            for key in 0..50u64 {
+                store.put(key, "ns", "p", &Json::Num(1.0));
+            }
+        }
+        // The reopen folds those 50 into a snapshot.
+        let store = Store::open(&root, "r0").unwrap();
+        let snapshot = snapshot_of(&root, "r0");
+        let journal = journal_of(&root, "r0");
+        let before = std::fs::read(&snapshot).unwrap();
+        let modified = std::fs::metadata(&snapshot).unwrap().modified().unwrap();
+        assert!(!journal.exists(), "open compacts the journal away");
+
+        const PUTS: u64 = 3_000;
+        let mut line_len = None;
+        let mut journal_len = 0;
+        for i in 0..PUTS {
+            // Full-range keys, so every hex key has all 16 digits.
+            let key = (1 << 63) | i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 1;
+            store.put(key, "ns", "p", &Json::Num(1.0));
+            let len = std::fs::metadata(&journal).unwrap().len();
+            let grew = len - journal_len;
+            assert_eq!(*line_len.get_or_insert(grew), grew, "put {i} grew the journal by {grew}");
+            journal_len = len;
+        }
+        assert_eq!(std::fs::read(&snapshot).unwrap(), before, "puts must not rewrite the snapshot");
+        assert_eq!(std::fs::metadata(&snapshot).unwrap().modified().unwrap(), modified);
+        let text = std::fs::read_to_string(&journal).unwrap();
+        assert_eq!(text.lines().count() as u64, PUTS, "one journal line per put");
+        assert_eq!(store.manifests()[0].len() as u64, 50 + PUTS);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_torn_journal_tail_is_ignored_by_readers_and_by_open() {
+        use std::io::Write;
+        let root = scratch("torn");
+        {
+            let store = Store::open(&root, "r0").unwrap();
+            for key in [1u64, 2, 3] {
+                store.put(key, "ns", "p", &Json::Num(key as f64));
+            }
+        }
+        // The writer died mid-append: half a line, no newline.
+        let mut journal =
+            File::options().append(true).open(journal_of(&root, "r0")).unwrap();
+        journal.write_all(b"{\"key\":\"00000000000000").unwrap();
+        drop(journal);
+
+        let observer = Store::open(&root, "observer").unwrap();
+        let manifests = observer.manifests();
+        assert_eq!(manifests.len(), 1);
+        assert_eq!(keys_of(&manifests[0]), vec![1, 2, 3], "manifests() skips the torn line");
+
+        let store = Store::open(&root, "r0").unwrap();
+        assert_eq!(keys_of(&store.manifests()[0]), vec![1, 2, 3], "open skips the torn line");
+        assert!(!journal_of(&root, "r0").exists(), "and compacts it away");
+        let snapshot = Manifest::load(&snapshot_of(&root, "r0")).unwrap();
+        assert_eq!(keys_of(&snapshot), vec![1, 2, 3]);
+        store.put(4, "ns", "p", &Json::Num(4.0));
+        assert_eq!(keys_of(&observer.manifests()[0]), vec![1, 2, 3, 4]);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_store_in_the_snapshot_only_layout_opens_with_identical_entries() {
+        let root = scratch("old-layout");
+        std::fs::create_dir_all(root.join("manifests")).unwrap();
+        // A manifest exactly as a store without a journal wrote it.
+        let old = concat!(
+            r#"{"replica":"r0","entries":["#,
+            r#"{"key":"0000000000000007","namespace":"server-sweep","bytes":120},"#,
+            r#"{"key":"fedcba9876543210","namespace":"server-montecarlo","bytes":4096}"#,
+            r#"]}"#
+        );
+        std::fs::write(snapshot_of(&root, "r0"), old).unwrap();
+        let expected = vec![
+            ManifestEntry { key: 7, namespace: "server-sweep".into(), bytes: 120 },
+            ManifestEntry {
+                key: 0xFEDC_BA98_7654_3210,
+                namespace: "server-montecarlo".into(),
+                bytes: 4096,
+            },
+        ];
+
+        let store = Store::open(&root, "r0").unwrap();
+        let entries: Vec<ManifestEntry> = store.manifests()[0].entries().cloned().collect();
+        assert_eq!(entries, expected);
+        assert_eq!(std::fs::read_to_string(snapshot_of(&root, "r0")).unwrap(), old);
+        // New writes land in the journal; a reopen folds them in.
+        store.put(9, "ns", "p", &Json::Num(9.0));
+        drop(store);
+        let store = Store::open(&root, "r0").unwrap();
+        assert_eq!(keys_of(&store.manifests()[0]), vec![7, 9, 0xFEDC_BA98_7654_3210]);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn gc_tombstones_peer_journals_and_compacts_its_own() {
+        use std::time::Duration;
+        let root = scratch("gc-journal");
+        let a = Store::open(&root, "r0").unwrap();
+        let b = Store::open(&root, "r1").unwrap();
+        a.put(1, "ns", "x", &Json::Num(1.0));
+        b.put(2, "ns", "y", &Json::Num(2.0));
+        b.put(3, "ns", "z", &Json::Num(3.0));
+        backdate(&a, 1, 100);
+        backdate(&b, 2, 100);
+        let peer_snapshot = snapshot_of(&root, "r1");
+        let report = a.gc(Duration::from_secs(10)).unwrap();
+        assert_eq!(report.expired, vec![1, 2]);
+        assert_eq!(report.manifests_rewritten, 2);
+        // Own manifest: compacted into a snapshot, journal gone.
+        assert!(!journal_of(&root, "r0").exists());
+        assert!(Manifest::load(&snapshot_of(&root, "r0")).unwrap().is_empty());
+        // Peer manifest: never rewritten, one tombstone appended.
+        assert!(!peer_snapshot.exists(), "the live peer's snapshot is not written by gc");
+        let journal = std::fs::read_to_string(journal_of(&root, "r1")).unwrap();
+        assert_eq!(journal.lines().filter(|l| l.contains("\"removed\":true")).count(), 1);
+        assert_eq!(keys_of(&b.manifests()[1]), vec![3]);
+        // The peer's own next compaction agrees.
+        b.gc(Duration::from_secs(3_600)).unwrap();
+        assert_eq!(keys_of(&Manifest::load(&peer_snapshot).unwrap()), vec![3]);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Readers looping while another handle prunes everything (TTL 0)
+    /// and re-writes it: a pruned object reads as a miss, never as
+    /// corrupt.
+    #[test]
+    fn gc_racing_reads_never_counts_corrupt() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+        use std::time::Duration;
+        let root = scratch("gc-race");
+        let writer = Arc::new(Store::open(&root, "writer").unwrap());
+        let reader = Arc::new(Store::open(&root, "reader").unwrap());
+        const KEYS: u64 = 32;
+        let stop = Arc::new(AtomicBool::new(false));
+        let sweeper = {
+            let (writer, stop) = (Arc::clone(&writer), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut sweeps = 0;
+                while !stop.load(Ordering::Relaxed) {
+                    for key in 0..KEYS {
+                        writer.put(key, "ns", "p", &Json::Num(key as f64));
+                    }
+                    writer.gc(Duration::ZERO).unwrap();
+                    sweeps += 1;
+                }
+                sweeps
+            })
+        };
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let reader = Arc::clone(&reader);
+                std::thread::spawn(move || {
+                    for round in 0..4_000u64 {
+                        if let Some(value) = reader.get(round % KEYS) {
+                            assert_eq!(value, Json::Num((round % KEYS) as f64));
+                        }
+                    }
+                })
+            })
+            .collect();
+        for r in readers {
+            r.join().unwrap();
+        }
+        stop.store(true, Ordering::Relaxed);
+        assert!(sweeper.join().unwrap() > 0);
+        let stats = reader.stats();
+        assert_eq!(stats.corrupt, 0, "a read that lost the race to gc is a miss: {stats:?}");
+        assert_eq!(stats.reads + stats.misses, 8_000);
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -1,15 +1,28 @@
 //! Per-replica manifests: the index over the shared object directory.
 //!
-//! Each replica owns exactly one manifest file
-//! (`manifests/<replica>.json`) and rewrites it atomically after every
-//! object write, so any member can enumerate another's warm keys with
-//! one small read instead of scanning `objects/`. Keys are serialized
-//! as 16-digit hex strings — they are full-range `u64` FNV identities
-//! and would lose bits above 2^53 as JSON numbers.
+//! Each replica owns one manifest, stored as two files so that
+//! recording a key costs one appended line, whatever the store's size:
+//!
+//! ```text
+//! manifests/<replica>.json   snapshot: {"replica": .., "entries": [entry, ..]}
+//! manifests/<replica>.log    journal: one entry per line, oldest first
+//! ```
+//!
+//! The manifest is the snapshot with the journal replayed over it, in
+//! order. A journal line is an entry's JSON (the same codec the snapshot
+//! uses for its `entries`); a tombstone is that JSON with
+//! `"removed":true`. Replay is an idempotent upsert or removal, so a
+//! line applied twice changes nothing. A torn or unparseable line (a
+//! writer died mid-append) and blank lines are skipped. Keys are
+//! serialized as 16-digit hex strings — they are full-range `u64` FNV
+//! identities and would lose bits above 2^53 as JSON numbers.
+//!
+//! A store directory that predates the journal holds only snapshots and
+//! reads unchanged.
 
 use runtime::Json;
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// One warm key a replica has written to the store.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,12 +37,26 @@ pub struct ManifestEntry {
 }
 
 impl ManifestEntry {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
+    fn fields(&self) -> Vec<(&'static str, Json)> {
+        vec![
             ("key", Json::Str(format!("{:016x}", self.key))),
             ("namespace", Json::Str(self.namespace.clone())),
             ("bytes", Json::Num(self.bytes as f64)),
-        ])
+        ]
+    }
+
+    fn to_json(&self) -> Json {
+        Json::obj(self.fields())
+    }
+
+    /// The entry as one newline-terminated journal line; a tombstone
+    /// when `removed`.
+    pub(crate) fn journal_line(&self, removed: bool) -> String {
+        let mut fields = self.fields();
+        if removed {
+            fields.push(("removed", Json::Bool(true)));
+        }
+        format!("{}\n", Json::obj(fields))
     }
 
     fn from_json(json: &Json) -> Option<ManifestEntry> {
@@ -55,12 +82,13 @@ impl Manifest {
         Manifest { replica: replica.to_string(), entries: BTreeMap::new() }
     }
 
-    /// Records (or refreshes) one key. Re-recording an existing key
-    /// replaces its entry — object writes are last-rename-wins, so the
-    /// manifest mirrors that.
-    pub fn record(&mut self, key: u64, namespace: &str, bytes: u64) {
-        self.entries
-            .insert(key, ManifestEntry { key, namespace: namespace.to_string(), bytes });
+    /// Records (or refreshes) one key and returns its entry.
+    /// Re-recording an existing key replaces its entry — object writes
+    /// are last-rename-wins, so the manifest mirrors that.
+    pub fn record(&mut self, key: u64, namespace: &str, bytes: u64) -> &ManifestEntry {
+        let entry = ManifestEntry { key, namespace: namespace.to_string(), bytes };
+        self.entries.insert(key, entry);
+        &self.entries[&key]
     }
 
     /// Drops `key` from the index; `true` when it was recorded. The
@@ -90,6 +118,11 @@ impl Manifest {
         self.entries.contains_key(&key)
     }
 
+    /// The entry recorded for `key`.
+    pub fn get(&self, key: u64) -> Option<&ManifestEntry> {
+        self.entries.get(&key)
+    }
+
     /// Total recorded object bytes.
     pub fn total_bytes(&self) -> u64 {
         self.entries.values().map(|e| e.bytes).sum()
@@ -114,12 +147,73 @@ impl Manifest {
         Some(Manifest { replica, entries })
     }
 
-    /// Loads a manifest file; `None` when missing or unparseable (a
-    /// torn manifest just means its replica looks cold — the objects
+    /// Loads a snapshot file; `None` when missing or unparseable (a
+    /// torn snapshot just means its replica looks cold — the objects
     /// themselves are still on disk and re-writable).
     pub fn load(path: &Path) -> Option<Manifest> {
         Manifest::from_json(&Json::parse(&std::fs::read_to_string(path).ok()?)?)
     }
+
+    /// Applies journal text line by line, in order, skipping blank,
+    /// torn and unparseable lines.
+    pub(crate) fn replay(&mut self, journal: &str) {
+        for line in journal.lines() {
+            let Some(json) = Json::parse(line) else { continue };
+            let Some(entry) = ManifestEntry::from_json(&json) else { continue };
+            if json.get("removed").and_then(Json::as_bool) == Some(true) {
+                self.entries.remove(&entry.key);
+            } else {
+                self.entries.insert(entry.key, entry);
+            }
+        }
+    }
+
+    /// Loads `replica`'s manifest from the manifest directory `dir`:
+    /// its snapshot with its journal replayed over it. `None` when
+    /// neither file can be read.
+    pub(crate) fn load_replica(dir: &Path, replica: &str) -> Option<Manifest> {
+        let snapshot = Manifest::load(&snapshot_path(dir, replica));
+        let journal = std::fs::read_to_string(journal_path(dir, replica)).ok();
+        if snapshot.is_none() && journal.is_none() {
+            return None;
+        }
+        let mut manifest = snapshot.unwrap_or_else(|| Manifest::new(replica));
+        if let Some(text) = journal {
+            manifest.replay(&text);
+        }
+        Some(manifest)
+    }
+}
+
+/// `replica`'s snapshot file in the manifest directory `dir`.
+pub(crate) fn snapshot_path(dir: &Path, replica: &str) -> PathBuf {
+    dir.join(format!("{replica}.json"))
+}
+
+/// `replica`'s journal file in the manifest directory `dir`.
+pub(crate) fn journal_path(dir: &Path, replica: &str) -> PathBuf {
+    dir.join(format!("{replica}.log"))
+}
+
+/// The replica names with a snapshot or a journal in `dir`, sorted
+/// (temp files, which start with a dot, are skipped).
+pub(crate) fn replica_names(dir: &Path) -> Vec<String> {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return Vec::new();
+    };
+    let mut names: Vec<String> = entries
+        .filter_map(|e| {
+            let name = e.ok()?.file_name().into_string().ok()?;
+            if name.starts_with('.') {
+                return None;
+            }
+            let replica = name.strip_suffix(".json").or_else(|| name.strip_suffix(".log"))?;
+            Some(replica.to_string())
+        })
+        .collect();
+    names.sort_unstable();
+    names.dedup();
+    names
 }
 
 #[cfg(test)]

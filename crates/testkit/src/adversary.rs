@@ -194,7 +194,9 @@ pub fn capped_connections(want: usize) -> usize {
 
 /// The process's live thread count (`Threads:` in `/proc/self/status`).
 /// The poller front-end's core claim — threads track in-flight work,
-/// not open sockets — is asserted with this before and after a storm.
+/// not open sockets — is asserted with this before and after a storm
+/// by a process that runs nothing else meanwhile (`bench_fanin`); tests
+/// sharing a process use `ServerHandle::threads` instead.
 ///
 /// # Panics
 ///
@@ -313,16 +315,30 @@ mod tests {
 
     #[test]
     fn process_threads_sees_spawned_threads() {
+        // Tests running beside this one spawn and reap up to 8 client
+        // threads at a time, so park more than that: their exits cannot
+        // hide these spawns.
+        const PARKED: usize = 32;
         let before = process_threads();
         assert!(before >= 1, "at least this thread is running");
         let (tx, rx) = std::sync::mpsc::channel::<()>();
-        let parked = std::thread::spawn(move || rx.recv().unwrap_or(()));
+        let rx = std::sync::Arc::new(std::sync::Mutex::new(rx));
+        let parked: Vec<_> = (0..PARKED)
+            .map(|_| {
+                let rx = std::sync::Arc::clone(&rx);
+                std::thread::spawn(move || rx.lock().expect("unpark lock").recv().unwrap_or(()))
+            })
+            .collect();
         // The counter must move with real thread lifecycle events —
-        // that is what the fan-in battery's flatness assertions rest on.
+        // that is what the fan-in lane's flatness assertion rests on.
         let during = process_threads();
-        assert!(during > before, "spawned thread not counted: {before} -> {during}");
-        tx.send(()).expect("unpark");
-        parked.join().expect("parked thread");
+        assert!(during > before, "spawned threads not counted: {before} -> {during}");
+        for _ in 0..PARKED {
+            tx.send(()).expect("unpark");
+        }
+        for thread in parked {
+            thread.join().expect("parked thread");
+        }
     }
 
     #[test]

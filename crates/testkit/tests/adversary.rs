@@ -6,9 +6,7 @@ use server::{Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
-use testkit::adversary::{
-    capped_connections, disconnect_storm, idle_soak, process_threads, slowloris_storm,
-};
+use testkit::adversary::{capped_connections, disconnect_storm, idle_soak, slowloris_storm};
 use testkit::AdversarialClient;
 
 #[test]
@@ -87,17 +85,19 @@ fn ten_thousand_idle_connections_do_not_grow_the_thread_count() {
     let handle = Server::spawn(ServerConfig { workers: 2, pollers: 2, ..ServerConfig::default() })
         .expect("ephemeral bind");
     let addr = handle.addr();
-    let before = process_threads();
+    let before = handle.threads();
+    assert_eq!(before, 5, "acceptor + 2 pollers + 2 workers");
 
     let conns = idle_soak(addr, capped_connections(10_000));
     assert!(conns.len() >= 1_000, "fd budget too small to prove anything: {}", conns.len());
 
     // Give the pollers a couple of sweeps over the full set.
     std::thread::sleep(Duration::from_millis(300));
-    let during = process_threads();
-    assert!(
-        during <= before + 2,
-        "threads grew with connections: {before} -> {during} across {} conns",
+    let during = handle.threads();
+    assert_eq!(
+        during,
+        before,
+        "server threads moved with connections: {before} -> {during} across {} conns",
         conns.len()
     );
 
@@ -120,12 +120,12 @@ fn slowloris_at_scale_cannot_starve_the_data_plane() {
     let handle = Server::spawn(ServerConfig { workers: 2, pollers: 2, ..ServerConfig::default() })
         .expect("ephemeral bind");
     let addr = handle.addr();
-    let before = process_threads();
+    let before = handle.threads();
 
     let stalled = slowloris_storm(addr, capped_connections(400));
     assert!(stalled.len() >= 100, "fd budget too small: {}", stalled.len());
-    let during = process_threads();
-    assert!(during <= before + 2, "threads grew with stalled peers: {before} -> {during}");
+    let during = handle.threads();
+    assert_eq!(during, before, "server threads moved with stalled peers: {before} -> {during}");
 
     // The crowd holds half-frames; a complete request still answers
     // promptly on a fresh socket.
@@ -158,15 +158,15 @@ fn mid_poll_disconnect_storm_leaves_the_server_healthy() {
     let handle = Server::spawn(ServerConfig { workers: 2, pollers: 2, ..ServerConfig::default() })
         .expect("ephemeral bind");
     let addr = handle.addr();
-    let before = process_threads();
+    let before = handle.threads();
 
     disconnect_storm(addr, capped_connections(300));
 
     // Workers absorb every dead reply channel; pollers reap every
     // corpse without panicking.
     std::thread::sleep(Duration::from_millis(300));
-    let during = process_threads();
-    assert!(during <= before + 2, "threads grew after the storm: {before} -> {during}");
+    let during = handle.threads();
+    assert_eq!(during, before, "server threads moved after the storm: {before} -> {during}");
 
     let client = AdversarialClient::new(addr);
     assert!(client.health_ok(), "health must survive the storm");

@@ -13,10 +13,10 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
-# The workspace currently runs 824 tests; a sharp drop means suites
+# The workspace currently runs 831 tests; a sharp drop means suites
 # silently fell out of the build (feature gate, dead test file, a
 # `#[cfg]` typo), which a plain exit code would never catch.
-MIN_TESTS=824
+MIN_TESTS=831
 
 TEST_LOG="$(mktemp)"
 trap 'rm -f "$TEST_LOG"' EXIT
@@ -104,10 +104,14 @@ lane bench env BENCH_DIR="$(mktemp -d)" ./scripts/bench.sh --smoke
 # perfbench/, built against the crates by path) must build, pass its own
 # tests, and run every workload with every answer checked; the traced
 # run also replays each answer through `Router::handle_typed` and fails
-# on any byte difference.
+# on any byte difference. `interactive` runs the full BENCHMARK.json
+# window (20 s): only that grows its store to thousands of objects, so
+# hot points the FIFO cache evicted are read back through the store
+# (journal appends, reads racing writes) and bit-checked.
 PERFBENCH=(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --)
 lane perfbench-test cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
-for workload in interactive transient cosim; do
+lane perfbench-interactive "${PERFBENCH[@]}" --workload interactive --seed 1 --seconds 20 --trace 0
+for workload in transient cosim; do
     lane "perfbench-$workload" "${PERFBENCH[@]}" --workload "$workload" --seed 1 --seconds 2 --trace 0
 done
 lane perfbench-traced "${PERFBENCH[@]}" --workload interactive --seed 1 --seconds 2 --trace 1
