@@ -27,7 +27,7 @@ fn bench_coils(c: &mut Criterion) {
         let pair = CoilPair::ironic();
         b.iter(|| black_box(pair.mutual_at(black_box(6.0e-3))));
     });
-    c.bench_function("misaligned_mutual_neumann", |b| {
+    c.bench_function("misaligned_mutual_line_integral", |b| {
         let pair = CoilPair::ironic();
         b.iter(|| black_box(pair.mutual_misaligned(6.0e-3, 5.0e-3)));
     });

@@ -6,10 +6,15 @@
 //!    `--smoke`), each replica deliberately narrow (1 worker, 1 pool
 //!    worker), and drives a pure cache-miss Monte Carlo workload
 //!    (every request a unique seed) from concurrent routing clients.
-//!    Reports sustained req/s and p50/p99 per N. On a multi-core host
-//!    the run *asserts* ≥ 1.7× req/s at N = 2 vs N = 1; on a single
-//!    hardware thread the replicas share one core, so the check is
-//!    reported but does not fail the run.
+//!    Reports sustained req/s and p50/p99 per N. With a hardware
+//!    thread per replica plus one for the load generator (three at
+//!    N = 2) the run *asserts* ≥ 1.7× req/s at N = 2 vs N = 1; on a
+//!    smaller host the replicas and the drivers share cores, so the
+//!    speedup is reported but not enforced. The sharder is checked on
+//!    every host instead: each replica must answer at least half its
+//!    fair share of the distinct keys (every key is a miss, so
+//!    answering is executing). The keys are fixed, so the split is
+//!    deterministic.
 //!
 //! 2. **Kill** — a 3-replica set under steady load loses one replica
 //!    mid-run. Latency is reported for the windows before the kill,
@@ -40,6 +45,7 @@ use bench::{banner, duration_us, verdict};
 use cluster::{ClusterClient, HealthState, HedgeConfig, ProbeConfig, ReplicaSet, RetryPolicy};
 use runtime::{Json, LatencyHistogram};
 use server::ServerConfig;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use store::{CatchupBudget, Store};
@@ -118,11 +124,22 @@ struct ScalePoint {
     latency: LatencyHistogram,
     ok: u64,
     broken: u64,
+    /// Distinct keys each replica answered, by replica name.
+    answered: BTreeMap<String, u64>,
 }
 
 impl ScalePoint {
     fn rps(&self) -> f64 {
         self.ok as f64 / self.wall.as_secs_f64()
+    }
+
+    /// True when every replica answered at least half its fair share
+    /// of the keys — what a sharder that funnels keys onto a subset of
+    /// the set fails.
+    fn balanced(&self) -> bool {
+        let floor = self.ok as f64 / (2 * self.replicas) as f64;
+        self.answered.len() == self.replicas
+            && self.answered.values().all(|&n| n as f64 >= floor)
     }
 }
 
@@ -132,7 +149,8 @@ fn scale_point(n: usize, args: &Args) -> ScalePoint {
     let set = ReplicaSet::spawn_local(n, &replica_config(), probe()).expect("spawn replicas");
     assert!(set.await_converged(Duration::from_secs(10)), "probes converge");
     let started = Instant::now();
-    let drivers: Vec<std::thread::JoinHandle<(LatencyHistogram, u64, u64)>> = (0..args.connections)
+    type Driven = (LatencyHistogram, u64, u64, BTreeMap<String, u64>);
+    let drivers: Vec<std::thread::JoinHandle<Driven>> = (0..args.connections)
         .map(|c| {
             let set = Arc::clone(&set);
             let (requests, trials) = (args.requests, args.mc_trials);
@@ -140,6 +158,7 @@ fn scale_point(n: usize, args: &Args) -> ScalePoint {
                 let mut client = ClusterClient::new(set, RetryPolicy::default());
                 let mut latency = LatencyHistogram::new();
                 let (mut ok, mut broken) = (0u64, 0u64);
+                let mut answered = BTreeMap::new();
                 for i in 0..requests {
                     // Unique per (N, connection, request): never a hit.
                     let seed = (n as u64) << 40 | (c as u64) << 20 | i as u64;
@@ -148,25 +167,30 @@ fn scale_point(n: usize, args: &Args) -> ScalePoint {
                         Ok(routed) if routed.response.is_ok() => {
                             latency.record(at.elapsed());
                             ok += 1;
+                            *answered.entry(routed.replica).or_default() += 1;
                         }
                         _ => broken += 1,
                     }
                 }
-                (latency, ok, broken)
+                (latency, ok, broken, answered)
             })
         })
         .collect();
     let mut latency = LatencyHistogram::new();
     let (mut ok, mut broken) = (0u64, 0u64);
+    let mut answered = BTreeMap::new();
     for driver in drivers {
-        let (hist, o, b) = driver.join().expect("driver thread");
+        let (hist, o, b, by_replica) = driver.join().expect("driver thread");
         latency.merge(&hist);
         ok += o;
         broken += b;
+        for (replica, keys) in by_replica {
+            *answered.entry(replica).or_default() += keys;
+        }
     }
     let wall = started.elapsed();
     set.shutdown();
-    ScalePoint { replicas: n, wall, latency, ok, broken }
+    ScalePoint { replicas: n, wall, latency, ok, broken, answered }
 }
 
 /// One kill-phase window: sequential requests with recorded latency.
@@ -316,21 +340,35 @@ fn main() {
         .iter()
         .find(|p| p.replicas == 2)
         .map(|p2| p2.rps() / points[0].rps().max(f64::MIN_POSITIVE));
+    // One hardware thread per narrow replica, plus one for the drivers
+    // and pollers: below that the N = 2 point cannot scale.
     let scaling_ok = match speedup2 {
-        Some(s) if cores >= 2 => {
+        Some(s) if cores > 2 => {
             let ok = s >= 1.7;
             println!("  N=2 speedup {s:.2}× (want ≥ 1.70×) … {}", verdict(ok));
             ok
         }
         Some(s) => {
             println!(
-                "  N=2 speedup {s:.2}× — single hardware thread, replicas share one core; \
-                 scaling check reported, not enforced"
+                "  N=2 speedup {s:.2}× — {cores} hardware thread(s), fewer than two replicas \
+                 plus the load generator need; scaling check reported, not enforced"
             );
             true
         }
         None => true,
     };
+    let balanced = points.iter().all(ScalePoint::balanced);
+    for p in points.iter().filter(|p| p.replicas > 1) {
+        let shares: Vec<String> =
+            p.answered.iter().map(|(name, keys)| format!("{name} {keys}")).collect();
+        println!(
+            "  N={} keys per replica [{}] (each ≥ half its fair share of {}) … {}",
+            p.replicas,
+            shares.join(", "),
+            p.ok,
+            verdict(p.balanced())
+        );
+    }
 
     // Phase 2: kill a replica under load.
     println!();
@@ -420,6 +458,15 @@ fn main() {
                             ("p99_us", Json::Num(duration_us(p.latency.p99()))),
                             ("ok", Json::Num(p.ok as f64)),
                             ("broken", Json::Num(p.broken as f64)),
+                            (
+                                "answered",
+                                Json::Obj(
+                                    p.answered
+                                        .iter()
+                                        .map(|(name, &keys)| (name.clone(), Json::Num(keys as f64)))
+                                        .collect(),
+                                ),
+                            ),
                         ]),
                     )
                 })
@@ -476,8 +523,11 @@ fn main() {
         bench::write_bench_json(path, &doc);
     }
 
-    let pass =
-        no_losses && scaling_ok && zero_lost && warm.as_ref().is_none_or(|(_, _, ok)| *ok);
+    let pass = no_losses
+        && scaling_ok
+        && balanced
+        && zero_lost
+        && warm.as_ref().is_none_or(|(_, _, ok)| *ok);
     println!();
     println!("bench_cluster verdict: {}", verdict(pass));
     if !pass {

@@ -1,10 +1,11 @@
 //! S2 — kernel latency benchmark.
 //!
-//! Times the four simulation kernels the server's data plane is built
+//! Times the simulation kernels the server's data plane is built
 //! from — the Fig. 11 transient (short preset), the full
-//! PA→coils→rectifier chain, one Monte Carlo yield study, and a
-//! received-power distance sweep — without any socket or queue in the
-//! way. Together with `bench_serve` this separates *model cost* from
+//! PA→coils→rectifier chain, one Monte Carlo yield study, a
+//! received-power distance sweep, one misaligned coil-pair solve and a
+//! 1 h sensing patient day — without any socket or queue in the way.
+//! Together with `bench_serve` this separates *model cost* from
 //! *serving cost*: if `BENCH_serve.json` shows p95 regressions that
 //! `BENCH_kernels.json` doesn't, the serving layer is to blame.
 //!
@@ -34,12 +35,14 @@
 //! ```
 
 use bench::{banner, duration_us, profile_table, stage_rows, stages_json};
+use coils::CoilPair;
 use implant_core::cosim::CalibrationCache;
 use implant_core::fullchain::FullChainScenario;
 use implant_core::montecarlo::MonteCarloStudy;
 use implant_core::scenario::Fig11Scenario;
 use link::budget::PowerBudget;
 use runtime::{Json, LatencyHistogram, Pool};
+use scenario::{DayProfile, PatientDay};
 use std::time::Instant;
 
 struct Args {
@@ -243,6 +246,22 @@ fn main() {
     });
     assert!(power_sum.is_finite(), "sweep produced a non-finite power");
     kernels.push(("sweep", hist));
+
+    let pair = CoilPair::ironic();
+    let (hist, mutual_sum, _) = time_kernel("mutual_misaligned", repeats, || {
+        pair.mutual_misaligned(6.0e-3, 1.0e-3)
+    });
+    assert!(mutual_sum.is_finite(), "mutual_misaligned produced a non-finite coupling");
+    kernels.push(("mutual_misaligned", hist));
+
+    let (hist, soc_sum, _) = time_kernel("patientday_sensing", repeats, || {
+        let mut day = PatientDay::ironic(7);
+        day.profile = DayProfile::Sensing;
+        day.hours = 1.0;
+        day.run().summary().soc_end
+    });
+    assert!(soc_sum.is_finite(), "patientday_sensing produced a non-finite charge");
+    kernels.push(("patientday_sensing", hist));
 
     let rows = stage_rows();
     if args.profile {

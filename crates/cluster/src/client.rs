@@ -548,7 +548,7 @@ mod tests {
         for code in ["overloaded", "shutting_down", "deadline_exceeded", "idle_timeout"] {
             assert!(retryable(code), "{code}");
         }
-        for code in ["bad_request", "unknown_endpoint", "internal"] {
+        for code in ["bad_request", "unknown_endpoint", "simulation_failed", "internal"] {
             assert!(!retryable(code), "{code}");
         }
     }

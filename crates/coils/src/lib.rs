@@ -12,12 +12,13 @@
 //!   (modified Wheeler and current-sheet expressions), series resistance
 //!   with skin effect, quality factor and a self-resonance estimate;
 //! * [`mutual`] — mutual inductance of coaxial circular filaments via
-//!   complete elliptic integrals (Maxwell's formula), a Neumann-integral
-//!   fallback for laterally misaligned coils, and filament decomposition
-//!   of whole spirals; coupling coefficient versus distance and
-//!   misalignment;
+//!   complete elliptic integrals (Maxwell's formula), one line integral
+//!   of the closed-form vector potential for laterally offset or tilted
+//!   loops, and filament decomposition of whole spirals; coupling
+//!   coefficient versus distance and misalignment;
 //! * [`elliptic`] — complete elliptic integrals K(m), E(m) computed with
-//!   the arithmetic–geometric mean, implemented in-crate;
+//!   the arithmetic–geometric mean (both from one sequence), implemented
+//!   in-crate;
 //! * [`tissue`] — a layered-tissue (skin/fat/muscle) eddy-loss model that
 //!   reproduces the paper's observation that a 17 mm slice of beef
 //!   behaves like 17 mm of air at 5 MHz.

@@ -241,6 +241,16 @@ impl<V: Artifact + Clone> ResultCache<V> {
         self.insert(key, value);
     }
 
+    /// Looks up a raw cache key in memory only and counts a hit when it
+    /// is resident. Absence counts nothing and never reaches the tier:
+    /// the caller falls back to [`ResultCache::get`] (or a batch run
+    /// over it), which counts that lookup's own outcome.
+    pub fn get_resident(&self, key: u64) -> Option<V> {
+        let value = self.peek(key)?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(value)
+    }
+
     /// Looks up a raw cache key in memory only (no tier, no
     /// hit/miss accounting) — used by tests and catch-up verification.
     pub fn peek(&self, key: u64) -> Option<V> {
@@ -535,6 +545,22 @@ mod tests {
         let loads = tier.loads.load(Ordering::Relaxed);
         assert_eq!(fresh.get("ns", &p), Some(42.0));
         assert_eq!(tier.loads.load(Ordering::Relaxed), loads);
+    }
+
+    #[test]
+    fn resident_lookup_counts_hits_only_and_never_reads_the_tier() {
+        let tier = Arc::new(MapTier::default());
+        let p = ParamPoint::new().with("d", 8.0);
+        let key = cache_key("ns", &p);
+        ResultCache::<f64>::in_memory().with_tier(tier.clone()).put("ns", &p, &3.5);
+        // Cold memory: the value lives only in the tier.
+        let cache: ResultCache<f64> = ResultCache::in_memory().with_tier(tier.clone());
+        assert_eq!(cache.get_resident(key), None);
+        assert_eq!(tier.loads.load(Ordering::Relaxed), 0, "memory only");
+        assert_eq!(cache.stats(), (0, 0), "absence counts nothing");
+        assert_eq!(cache.get("ns", &p), Some(3.5));
+        assert_eq!(cache.get_resident(key), Some(3.5));
+        assert_eq!(cache.stats(), (2, 0));
     }
 
     #[test]

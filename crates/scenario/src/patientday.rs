@@ -19,14 +19,17 @@ pub const P_IMPLANT_MIN_W: f64 = 1.0e-3;
 
 /// Cadence, in simulated seconds, at which the coil-link solve is
 /// refreshed during sensing segments. The filament-sum mutual
-/// inductance is the one expensive call in the loop; drift is slow, so
-/// a five-minute refresh bounds cost without visibly changing traces.
+/// inductance (~0.2 ms misaligned, tens of µs aligned) is still the
+/// dearest call in the loop; drift is slow, so a five-minute refresh
+/// bounds cost without visibly changing traces.
 pub const LINK_REFRESH_S: f64 = 300.0;
 
-/// Distance quantum for the per-day link-solve memo, mm. One Neumann
-/// filament solve costs milliseconds; snapping the drifting separation
-/// to this grid — well below any placement uncertainty — caps a whole
-/// day at one solve per visited grid line instead of one per refresh.
+/// Distance quantum for the per-day link-solve memo, mm. A misaligned
+/// filament solve costs a few hundred microseconds; snapping the
+/// drifting separation to this grid — well below any placement
+/// uncertainty — caps a whole day at one solve per visited grid line
+/// instead of one per refresh, and keeps the day's answers a function
+/// of the grid lines alone.
 pub const LINK_QUANTUM_MM: f64 = 0.25;
 
 /// Tissue between the patch coil and the implant coil.

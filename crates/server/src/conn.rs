@@ -10,8 +10,15 @@
 //! when the data plane is saturated — a full queue still answers
 //! `metrics` instantly — and means workers never see invalid input.
 //!
-//! Data requests with a [`RequestBody::route_point`] identity join the
-//! single-flight table first: if an identical request is already in
+//! A data request whose answer is resident in the router's memory
+//! cache is answered inline as well (`server.hit.inline`): `queue_us`
+//! 0, the lookup and render as `service_us`, the same result bytes and
+//! accounting as a queued hit. Memory misses, store-tier hits (no disk
+//! I/O on a poller), the uncached `fig11`/`fullchain` and everything
+//! during a drain still go through the queue.
+//!
+//! Data requests with a [`RequestBody::route_point`] identity then join
+//! the single-flight table: if an identical request is already in
 //! flight, this one parks as a follower (`server.singleflight.follower`)
 //! and is answered when the leader publishes — it never occupies a
 //! queue slot or recomputes the artifact.
@@ -25,7 +32,8 @@
 use crate::flight::Waiter;
 use crate::poller::{LineAction, LineService};
 use crate::proto::{
-    decode_err_response, err_response, ok_response, ErrorCode, Request, RequestBody,
+    decode_err_response, err_response, ok_response, ok_response_checked, ErrorCode, Request,
+    RequestBody,
 };
 use crate::queue::PushError;
 use crate::router::RouteError;
@@ -222,9 +230,10 @@ fn dispatch(request: Request, shared: &Arc<Shared>) -> LineAction {
     LineAction::Inline(response)
 }
 
-/// Submits a decoded data-plane body: join the single-flight table,
-/// then (as leader) the bounded queue. All refusal paths produce
-/// structured errors — the client is never hung up on or left waiting.
+/// Submits a decoded data-plane body: answer a memory-resident hit
+/// inline, else join the single-flight table, then (as leader) the
+/// bounded queue. All refusal paths produce structured errors — the
+/// client is never hung up on or left waiting.
 fn submit(
     id: u64,
     deadline_ms: Option<u64>,
@@ -240,6 +249,13 @@ fn submit(
     // publish answers us; no queue slot, no recomputation.
     let flight_key = body.route_point().map(|(ns, point)| runtime::cache_key(ns, &point));
     if let Some(key) = flight_key {
+        // Already in memory? Answer here: no queue, no worker, no reply
+        // channel. A draining server queues nothing new, hits included.
+        if !shared.is_draining() {
+            if let Some(line) = answer_resident(id, &body, key, shared) {
+                return LineAction::Inline(line);
+            }
+        }
         let waiter = Waiter { id, enqueued: now, deadline, reply: reply.clone() };
         match shared.flight.join(key, waiter) {
             Flight::Attached => {
@@ -277,6 +293,22 @@ fn submit(
             ))
         }
     }
+}
+
+/// Answers a request whose result the router holds in memory, on the
+/// calling poller: `queue_us` 0, the lookup and render as `service_us`,
+/// accounted exactly like a queued hit (`record_ok` with one cache hit)
+/// plus the `server.hit.inline` counter. `None` sends the request down
+/// the queued path — memory misses, store-tier hits (no disk I/O on a
+/// poller) and the uncached endpoints.
+fn answer_resident(id: u64, body: &RequestBody, key: u64, shared: &Shared) -> Option<String> {
+    let started = Instant::now();
+    let result = shared.router.resident(body, key)?;
+    let service = started.elapsed();
+    obs::count!("server.hit.inline");
+    shared.metrics.record_ok(body.endpoint(), service, 1, 0);
+    let _encode = obs::span!("server.encode");
+    Some(ok_response_checked(id, result, 0, service.as_micros() as u64))
 }
 
 /// A leader that failed admission resolves its flight immediately:

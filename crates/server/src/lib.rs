@@ -34,6 +34,9 @@
 //!   `pollers + workers + 1` regardless of open connections (DESIGN.md
 //!   §14; the wire semantics are byte-identical to the old
 //!   thread-per-connection loop).
+//! * **Inline cache hits** — a cached-endpoint request whose answer is
+//!   resident in memory is answered on the poller thread that read it,
+//!   with the same bytes and accounting as a queued hit ([`conn`]).
 //! * **Single-flight collapse** — concurrent identical data requests
 //!   (same [`proto::RequestBody::route_point`] identity) attach to one
 //!   in-flight computation ([`flight`]); followers cost no queue slot
@@ -44,7 +47,8 @@
 //!   execution.
 //! * **Stage observability** — connection and worker stages
 //!   (`server.read` … `server.write`, plus
-//!   `server.singleflight.{leader,follower}` and `server.batch.merged`)
+//!   `server.singleflight.{leader,follower}`, `server.hit.inline` and
+//!   `server.batch.merged`)
 //!   record into the [`obs`] registry; the `metrics_v2` endpoint serves
 //!   the Prometheus-style exposition.
 //!

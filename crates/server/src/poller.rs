@@ -21,7 +21,10 @@
 //! 500 µs → 256 ms schedule after five empty reads.
 //!
 //! The service decides what a line means; the poller only frames,
-//! paces and flushes. One request may be outstanding per connection at
+//! paces and flushes. The server's service answers control requests,
+//! refusals and memory-resident cache hits on this thread
+//! ([`LineAction::Inline`]); only work that needs a worker comes back
+//! [`LineAction::Pending`]. One request may be outstanding per connection at
 //! a time — while a [`LineAction::Pending`] reply is awaited, already
 //! buffered bytes stay buffered and the socket is not read, which
 //! preserves the strict request/response ordering of the blocking
@@ -57,7 +60,8 @@ const FINAL_REPLY_WAIT: Duration = Duration::from_millis(500);
 pub enum LineAction {
     /// Nothing to answer (blank keep-alive line).
     Skip,
-    /// A response line to write now (control plane, rejections).
+    /// A response line to write now (control plane, rejections,
+    /// memory-resident cache hits).
     Inline(String),
     /// The response will arrive on this channel (queued data plane).
     /// The connection reads nothing further until it does.

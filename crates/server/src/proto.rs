@@ -76,7 +76,13 @@ pub enum ErrorCode {
     /// closed. Sent as a final unsolicited line (id 0) so clients can
     /// tell an administrative close from a network failure.
     IdleTimeout,
-    /// The handler failed (simulation error or isolated panic).
+    /// The simulation itself failed for these parameters: Newton
+    /// non-convergence, a timestep underflow, a singular system or a
+    /// diverged co-simulation. The message names the failing domain and,
+    /// for a transient, `t` and `dt`. Deterministic: the same request
+    /// fails the same way, so it is not worth a retry.
+    SimulationFailed,
+    /// The server failed: an isolated handler panic or a lost worker.
     Internal,
 }
 
@@ -90,6 +96,7 @@ impl ErrorCode {
             ErrorCode::DeadlineExceeded => "deadline_exceeded",
             ErrorCode::ShuttingDown => "shutting_down",
             ErrorCode::IdleTimeout => "idle_timeout",
+            ErrorCode::SimulationFailed => "simulation_failed",
             ErrorCode::Internal => "internal",
         }
     }

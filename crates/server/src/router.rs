@@ -22,7 +22,7 @@ use crate::proto::{
     CohortParams, DecodeError, DecodeLimits, ErrorCode, Fig11Params, Fig11Preset,
     FullchainParams, MontecarloParams, PatientdayParams, RequestBody, SweepParams,
 };
-use implant_core::cosim::CalibrationCache;
+use implant_core::cosim::{CalibrationCache, CosimError};
 use implant_core::fullchain::FullChainScenario;
 use implant_core::scenario::Fig11Scenario;
 use runtime::{Artifact, Batch, JobOutcome, Json, ParamPoint, Pool};
@@ -56,6 +56,28 @@ impl RouteError {
 
     fn internal(message: impl Into<String>) -> Self {
         RouteError { code: ErrorCode::Internal, field: None, message: message.into() }
+    }
+
+    /// A numerical failure of the model for the request's parameters
+    /// (`simulation_failed`); the message keeps the engine's own
+    /// diagnostic — the failing domain, `t` and `dt`.
+    pub fn simulation_failed(e: impl std::fmt::Display) -> Self {
+        RouteError {
+            code: ErrorCode::SimulationFailed,
+            field: None,
+            message: format!("simulation failed: {e}"),
+        }
+    }
+}
+
+/// A co-simulation failure is `simulation_failed`, except a caught
+/// domain panic, which stays `internal` like every other panic.
+impl From<CosimError> for RouteError {
+    fn from(e: CosimError) -> Self {
+        match e {
+            CosimError::Panicked { .. } => RouteError::internal(format!("simulation failed: {e}")),
+            e => RouteError::simulation_failed(e),
+        }
     }
 }
 
@@ -197,6 +219,16 @@ impl Router {
         report
     }
 
+    /// The `result` document a memory-resident cache entry answers
+    /// `body` with — rendered `cached: true`, byte-identical to a queued
+    /// hit — counting the hit. `key` is the body's route key
+    /// ([`RequestBody::route_point`] under [`runtime::cache_key`]).
+    /// `None` on a memory miss (the store tier is not consulted) and for
+    /// endpoints without a result cache.
+    pub fn resident(&self, body: &RequestBody, key: u64) -> Option<Json> {
+        ENDPOINTS.iter().find_map(|e| (e.resident)(&self.caches, body, key))
+    }
+
     /// The caps this router imposes at decode time.
     pub fn limits(&self) -> DecodeLimits {
         DecodeLimits { mc_trial_cap: self.mc_trial_cap, ..DecodeLimits::default() }
@@ -208,8 +240,8 @@ impl Router {
     /// # Errors
     ///
     /// `bad_request` on invalid parameters, `unknown_endpoint` on an
-    /// unrouted (or control-plane) name, `internal` when the model
-    /// itself fails.
+    /// unrouted (or control-plane) name, `simulation_failed` when the
+    /// model fails numerically, `internal` when it panics.
     pub fn handle(&self, endpoint: &str, params: &Json) -> Result<Routed, RouteError> {
         let body = RequestBody::decode(endpoint, params, &self.limits())?;
         if body.is_control() {
@@ -230,7 +262,8 @@ impl Router {
     ///
     /// `bad_request` for the few cross-field checks that need model
     /// state (e.g. a `t_stop_us` that cuts the preset's timeline),
-    /// `internal` when the model fails, `unknown_endpoint` if a
+    /// `simulation_failed` when the model fails numerically, `internal`
+    /// when it panics, `unknown_endpoint` if a
     /// control-plane body is routed here (the connection answers those
     /// inline).
     pub fn handle_typed(&self, body: &RequestBody) -> Result<Routed, RouteError> {
@@ -311,12 +344,9 @@ impl Router {
             ));
         }
         let outcome = if p.cosim {
-            scenario
-                .run_cosim_with(&self.pool, &self.calibrations)
-                .map_err(|e| RouteError::internal(format!("simulation failed: {e}")))?
-                .0
+            scenario.run_cosim_with(&self.pool, &self.calibrations)?.0
         } else {
-            scenario.run().map_err(|e| RouteError::internal(format!("simulation failed: {e}")))?
+            scenario.run().map_err(RouteError::simulation_failed)?
         };
         Ok(Routed::plain(Json::obj(vec![
             ("vo_worst", Json::Num(outcome.vo_worst())),
@@ -344,14 +374,10 @@ impl Router {
         // Both engines report the same scalar summary, so the response
         // shape is engine-independent (plus the `cosim` marker).
         let (vo_steady, supply_compliant, efficiency, p_load, p_supply) = if p.cosim {
-            let o = scenario
-                .run_cosim_with(&self.pool, &self.calibrations)
-                .map_err(|e| RouteError::internal(format!("simulation failed: {e}")))?;
+            let o = scenario.run_cosim_with(&self.pool, &self.calibrations)?;
             (o.vo_steady(), o.supply_compliant(), o.efficiency(), o.p_load, o.p_supply)
         } else {
-            let o = scenario
-                .run()
-                .map_err(|e| RouteError::internal(format!("simulation failed: {e}")))?;
+            let o = scenario.run().map_err(RouteError::simulation_failed)?;
             (o.vo_steady(), o.supply_compliant(), o.efficiency(), o.p_load, o.p_supply)
         };
         Ok(Routed::plain(Json::obj(vec![
@@ -427,6 +453,7 @@ struct Endpoint {
     claims: fn(&RequestBody) -> bool,
     serve: fn(&Router, &[&RequestBody], &mut [Served]),
     render: fn(&RequestBody, &Json) -> Option<Json>,
+    resident: fn(&Caches, &RequestBody, u64) -> Option<Json>,
     admit: fn(&Caches, u64, &Json) -> bool,
     stats: fn(&Caches) -> (u64, u64),
 }
@@ -438,6 +465,10 @@ impl Endpoint {
             claims: |body| E::of(body).is_some(),
             serve: Router::serve::<E>,
             render: |body, value| Some(E::of(body)?.render(&E::Value::from_json(value)?, true)),
+            resident: |caches, body, key| {
+                let p = E::of(body)?;
+                Some(p.render(&E::cache(caches).get_resident(key)?, true))
+            },
             admit: |caches, key, value| {
                 E::Value::from_json(value).map(|v| E::cache(caches).admit(key, v)).is_some()
             },

@@ -262,3 +262,47 @@ fn in_spec_campaign_scenarios_report_no_violations() {
         assert!(report.is_empty(), "in-spec faults broke the envelope: {report}");
     }
 }
+
+#[test]
+fn engine_failures_map_to_simulation_failed_with_their_diagnostic() {
+    use analog::SimError;
+    use implant_core::CosimError;
+    use server::proto::ErrorCode;
+    use server::router::RouteError;
+
+    // The shape of the full-chain staircase underflow: a domain's
+    // transient gives up at a named time and step.
+    let underflow = RouteError::from(CosimError::Domain {
+        domain: "link",
+        source: SimError::TimestepTooSmall { time: 1.0068e-5, step: 2.8e-19 },
+    });
+    assert_eq!(underflow.code, ErrorCode::SimulationFailed);
+    for part in ["link", "t = 1.006800e-5", "dt = 2.800e-19"] {
+        assert!(underflow.message.contains(part), "{part:?} missing: {}", underflow.message);
+    }
+
+    let diverged = RouteError::from(CosimError::Diverged {
+        t: 2.5e-6,
+        residual: 3.0,
+        tolerance: 1e-3,
+        iterations: 40,
+    });
+    assert_eq!(diverged.code.as_str(), "simulation_failed");
+    assert!(diverged.message.contains("t = 2.500e-6"), "{}", diverged.message);
+
+    // The monolithic engines' own errors take the same code.
+    let newton = RouteError::simulation_failed(SimError::NoConvergence {
+        analysis: "transient",
+        time: Some(3.0e-6),
+        iterations: 50,
+    });
+    assert_eq!(newton.code, ErrorCode::SimulationFailed);
+    assert!(newton.message.starts_with("simulation failed: "), "{}", newton.message);
+
+    // A caught panic is a server fault, not a property of the request.
+    let panicked = RouteError::from(CosimError::Panicked {
+        domain: "comms".to_string(),
+        message: "boom".to_string(),
+    });
+    assert_eq!(panicked.code, ErrorCode::Internal);
+}

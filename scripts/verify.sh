@@ -13,10 +13,10 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
-# The workspace currently runs 831 tests; a sharp drop means suites
+# The workspace currently runs 843 tests; a sharp drop means suites
 # silently fell out of the build (feature gate, dead test file, a
 # `#[cfg]` typo), which a plain exit code would never catch.
-MIN_TESTS=831
+MIN_TESTS=843
 
 TEST_LOG="$(mktemp)"
 trap 'rm -f "$TEST_LOG"' EXIT
@@ -58,8 +58,10 @@ lane fanin ./target/release/bench_fanin --connections 500 --drivers 8 --requests
 
 # Cluster smoke lane: bench_cluster spawns replica sets, probes health
 # to convergence, kills one replica of three under load, and asserts
-# zero lost in-deadline requests (the N=2 throughput check is enforced
-# only on multi-core hosts). A non-zero exit fails the gate.
+# zero lost in-deadline requests and an even key split across replicas
+# (the N=2 throughput check is enforced only with ≥ 3 hardware threads,
+# one per replica plus the load generator). A non-zero exit fails the
+# gate.
 lane cluster ./target/release/bench_cluster --smoke
 
 # Store lane: the shared artifact tier end-to-end over real disk and
