@@ -150,6 +150,16 @@ const MEASURE_CYCLES: f64 = 4.0;
 const MATCH_R_OHMS: f64 = 150.0;
 /// Gate-drive edge time of the LSK load modulator, seconds.
 const LSK_EDGE: f64 = 50.0e-9;
+/// Capacitance the shorted staircase probe adds from `vrect` to ground,
+/// farads. With M1 on and M2 open, `vrect` otherwise touches only the
+/// reverse-biased rectifying diode, the sub-threshold clamp stack and
+/// M2's 500 MΩ off-resistance — no capacitor — and Newton stalls there
+/// at some distances until the step underflows (7.4–8.4 mm). 0.1 pF
+/// (318 kΩ at 5 MHz) gives the node a state. It is a fixture of the
+/// probe, not of the rectifier, so the monolithic netlist keeps none;
+/// the connected probe ties `vrect` to the pinned storage node through
+/// M2's 5 Ω and needs none (there it would only cost steps).
+const PROBE_VRECT_CAP: f64 = 0.1e-12;
 
 /// Per-plateau measurements of one gate state of the chain: charging
 /// current into the pinned storage node, peak rectifier-input voltage
@@ -312,6 +322,9 @@ fn chain_probe(
     };
     let (mut ckt, nodes) = front_end.build(m1, m2);
     ckt.voltage_source("Vpin", nodes.vo, Circuit::GND, SourceFn::pwl(points));
+    if shorted {
+        ckt.capacitor("Cprobe", nodes.vrect, Circuit::GND, PROBE_VRECT_CAP);
+    }
     let sim = ckt.compile()?;
     let cfg = TranConfig::builder(t).max_step(period / 40.0).build();
     let res = sim.tran(&cfg)?;

@@ -4,10 +4,10 @@
 //!
 //! Everything else is shared. [`crate::proto::RequestBody::route_point`]
 //! returns the identity defined here, so the cluster places a request on
-//! the replica whose cache holds it. The router's one generic path
-//! (dedup by key, a pool run against the endpoint's own bounded cache,
-//! occurrence-wise hit/miss accounting, rendering) serves single
-//! requests, merged batches, pre-warming and hedged reads alike.
+//! the replica whose cache holds it. The router's one generic path (a
+//! one-point pool run against the endpoint's own bounded cache, hit/miss
+//! accounting, rendering) serves requests, pre-warming and hedged reads
+//! alike.
 
 use crate::proto::{
     CohortParams, MontecarloParams, PatientdayParams, RequestBody, SweepMedium, SweepParams,
@@ -22,8 +22,7 @@ use store::Store;
 
 /// One cached endpoint's decisions. The value is a pure function of the
 /// parameters: every result draws only from its own seed-derived
-/// streams, never the pool's per-job RNG, so merging requests into one
-/// pool batch changes scheduling, not arithmetic.
+/// streams, never the pool's per-job RNG.
 pub(crate) trait CachedEndpoint: Sync {
     /// Cache namespace (`server-<endpoint>`).
     const NAMESPACE: &'static str;

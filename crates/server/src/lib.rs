@@ -41,14 +41,9 @@
 //!   (same [`proto::RequestBody::route_point`] identity) attach to one
 //!   in-flight computation ([`flight`]); followers cost no queue slot
 //!   and no recomputation.
-//! * **Cross-request batching** — queued jobs of one cached endpoint
-//!   (`montecarlo`, `sweep`, `patientday`, `cohort`) merge into one
-//!   shared pool batch with bit-identical results to per-request
-//!   execution.
 //! * **Stage observability** — connection and worker stages
 //!   (`server.read` … `server.write`, plus
-//!   `server.singleflight.{leader,follower}`, `server.hit.inline` and
-//!   `server.batch.merged`)
+//!   `server.singleflight.{leader,follower}` and `server.hit.inline`)
 //!   record into the [`obs`] registry; the `metrics_v2` endpoint serves
 //!   the Prometheus-style exposition.
 //!
@@ -100,10 +95,6 @@ use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Most extra same-endpoint jobs one worker folds into a shared pool
-/// batch on top of the job it popped (cached endpoints only).
-const BATCH_MERGE_MAX: usize = 31;
-
 /// Server tunables. The defaults serve the test/bench workloads; every
 /// knob exists so a test can force a specific failure mode (capacity 0
 /// → everything sheds, tiny deadlines → everything expires).
@@ -118,8 +109,8 @@ pub struct ServerConfig {
     /// Poller threads multiplexing every accepted socket. Thread count
     /// is `pollers + workers + 1` however many connections are open.
     pub pollers: usize,
-    /// Threads of the simulation [`runtime::Pool`] each worker's batch
-    /// runs on (Monte Carlo trials, sweep points).
+    /// Threads of the simulation [`runtime::Pool`] the router's computes
+    /// and co-simulation calibrations run on.
     pub pool_workers: usize,
     /// Entry cap of each bounded result cache.
     pub cache_capacity: usize,
@@ -307,145 +298,89 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, registrar: &poller:
     }
 }
 
-/// The worker loop: pop, merge same-endpoint work, expire-or-execute,
-/// reply, resolve flights. Exits when the queue is closed and drained.
+/// The worker loop: pop one job, expire-or-execute it, reply, resolve
+/// its flight. Exits when the queue is closed and drained.
 fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.queue.pop() {
-        // Fold queued jobs of the same cached endpoint into one shared
-        // pool batch: distinct points compute side by side,
-        // bit-identically to running them one request at a time (see
-        // DESIGN.md §14).
         let endpoint = job.body.endpoint();
-        let mut group = vec![job];
-        if router::is_cached(&group[0].body) {
-            group.extend(
-                shared
-                    .queue
-                    .drain_matching(BATCH_MERGE_MAX, |j| j.body.endpoint() == endpoint),
-            );
-        }
-        for _ in 1..group.len() {
-            obs::count!("server.batch.merged");
-        }
-
-        // Deadlines are judged at dequeue, exactly as before batching.
-        let mut live: Vec<(Job, u64)> = Vec::new();
-        for job in group {
-            let endpoint = job.body.endpoint();
-            let queued = job.enqueued.elapsed();
-            obs::observe!("server.queue_wait", queued);
-            let queue_us = queued.as_micros() as u64;
-            if Instant::now() >= job.deadline {
-                // The deadline burned out while the job sat in the
-                // queue — executing it now would waste a worker on an
-                // answer nobody is waiting for.
-                shared.metrics.record_error(endpoint, ErrorCode::DeadlineExceeded);
-                let _ = job.reply.send(err_response(
-                    job.id,
-                    ErrorCode::DeadlineExceeded,
-                    &format!("deadline expired after {queue_us} µs in queue"),
-                ));
-                if let Some(key) = job.flight_key {
-                    // Followers are judged against their own deadlines
-                    // (expired ones count `expired` exactly once; live
-                    // ones are shed for a clean retry).
-                    flight::publish(
-                        &shared.flight,
-                        &shared.metrics,
-                        endpoint,
-                        key,
-                        FlightOutcome::Expired,
-                        Duration::ZERO,
-                    );
-                }
-                continue;
-            }
-            live.push((job, queue_us));
-        }
-        if live.is_empty() {
-            shared.wake_pollers();
-            continue;
-        }
-
-        let started = Instant::now();
-        let outcomes: Vec<Option<Result<router::Routed, router::RouteError>>> = {
-            let _execute = obs::span!("server.execute");
-            execute_group(shared, &live)
-        };
-        let service = started.elapsed();
-        let service_us = service.as_micros() as u64;
-
-        for ((job, queue_us), outcome) in live.iter().zip(outcomes) {
-            let endpoint = job.body.endpoint();
-            let line = {
-                let _encode = obs::span!("server.encode");
-                match &outcome {
-                    Some(Ok(routed)) => {
-                        shared.metrics.record_ok(
-                            endpoint,
-                            service,
-                            routed.cache_hits,
-                            routed.cache_misses,
-                        );
-                        proto::ok_response_checked(
-                            job.id,
-                            routed.result.clone(),
-                            *queue_us,
-                            service_us,
-                        )
-                    }
-                    Some(Err(route_err)) => {
-                        shared.metrics.record_error(endpoint, route_err.code);
-                        err_response_fielded(
-                            job.id,
-                            route_err.code,
-                            &route_err.message,
-                            route_err.field.as_deref(),
-                        )
-                    }
-                    None => {
-                        // Isolated: this worker thread survives and moves on.
-                        shared.metrics.record_error(endpoint, ErrorCode::Internal);
-                        err_response(
-                            job.id,
-                            ErrorCode::Internal,
-                            "handler panicked; request isolated",
-                        )
-                    }
-                }
-            };
-            let _ = job.reply.send(line);
+        let queued = job.enqueued.elapsed();
+        obs::observe!("server.queue_wait", queued);
+        let queue_us = queued.as_micros() as u64;
+        if Instant::now() >= job.deadline {
+            // The deadline burned out while the job sat in the queue —
+            // executing it now would waste a worker on an answer nobody
+            // is waiting for.
+            shared.metrics.record_error(endpoint, ErrorCode::DeadlineExceeded);
+            let _ = job.reply.send(err_response(
+                job.id,
+                ErrorCode::DeadlineExceeded,
+                &format!("deadline expired after {queue_us} µs in queue"),
+            ));
             if let Some(key) = job.flight_key {
-                let flight_outcome = match &outcome {
-                    Some(Ok(routed)) => FlightOutcome::Ok(routed),
-                    Some(Err(route_err)) => FlightOutcome::RouteErr(route_err),
-                    None => FlightOutcome::Panicked,
-                };
+                // Followers are judged against their own deadlines
+                // (expired ones count `expired` exactly once; live ones
+                // are shed for a clean retry).
                 flight::publish(
                     &shared.flight,
                     &shared.metrics,
                     endpoint,
                     key,
-                    flight_outcome,
-                    service,
+                    FlightOutcome::Expired,
+                    Duration::ZERO,
                 );
             }
+            shared.wake_pollers();
+            continue;
+        }
+
+        let started = Instant::now();
+        // `None` marks a handler panic, isolated here: this worker
+        // thread survives and moves on.
+        let outcome = {
+            let _execute = obs::span!("server.execute");
+            std::panic::catch_unwind(AssertUnwindSafe(|| shared.router.handle_typed(&job.body)))
+                .ok()
+        };
+        let service = started.elapsed();
+        let service_us = service.as_micros() as u64;
+
+        let line = {
+            let _encode = obs::span!("server.encode");
+            match &outcome {
+                Some(Ok(routed)) => {
+                    shared.metrics.record_ok(
+                        endpoint,
+                        service,
+                        routed.cache_hits,
+                        routed.cache_misses,
+                    );
+                    proto::ok_response_checked(job.id, routed.result.clone(), queue_us, service_us)
+                }
+                Some(Err(route_err)) => {
+                    shared.metrics.record_error(endpoint, route_err.code);
+                    err_response_fielded(
+                        job.id,
+                        route_err.code,
+                        &route_err.message,
+                        route_err.field.as_deref(),
+                    )
+                }
+                None => {
+                    shared.metrics.record_error(endpoint, ErrorCode::Internal);
+                    err_response(job.id, ErrorCode::Internal, "handler panicked; request isolated")
+                }
+            }
+        };
+        let _ = job.reply.send(line);
+        if let Some(key) = job.flight_key {
+            let flight_outcome = match &outcome {
+                Some(Ok(routed)) => FlightOutcome::Ok(routed),
+                Some(Err(route_err)) => FlightOutcome::RouteErr(route_err),
+                None => FlightOutcome::Panicked,
+            };
+            flight::publish(&shared.flight, &shared.metrics, endpoint, key, flight_outcome, service);
         }
         shared.wake_pollers();
-    }
-}
-
-/// Executes one dequeued group through [`Router::handle_many`], which
-/// is bit-identical to per-request execution. `None` marks a request
-/// whose handler panicked (already isolated).
-fn execute_group(
-    shared: &Shared,
-    live: &[(Job, u64)],
-) -> Vec<Option<Result<router::Routed, router::RouteError>>> {
-    let bodies: Vec<&RequestBody> = live.iter().map(|(job, _)| &job.body).collect();
-    match std::panic::catch_unwind(AssertUnwindSafe(|| shared.router.handle_many(&bodies))) {
-        Ok(results) => results.into_iter().map(Some).collect(),
-        Err(_) => live.iter().map(|_| None).collect(),
     }
 }
 

@@ -84,27 +84,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Removes up to `max` items matching `pred`, wherever they sit in
-    /// the queue, preserving the relative order of both the removed
-    /// items and the survivors. This is the cross-request batching
-    /// hook: a worker that popped a `montecarlo` job can sweep the
-    /// queue for more points of the same endpoint and run them as one
-    /// pool batch. Never blocks; an empty vec means nothing matched.
-    pub fn drain_matching(&self, max: usize, mut pred: impl FnMut(&T) -> bool) -> Vec<T> {
-        let mut state = self.state.lock().expect("queue lock");
-        let mut taken = Vec::new();
-        let mut rest = VecDeque::with_capacity(state.items.len());
-        while let Some(item) = state.items.pop_front() {
-            if taken.len() < max && pred(&item) {
-                taken.push(item);
-            } else {
-                rest.push_back(item);
-            }
-        }
-        state.items = rest;
-        taken
-    }
-
     /// Closes the queue: further pushes fail, pending items still drain.
     pub fn close(&self) {
         self.state.lock().expect("queue lock").open = false;
@@ -332,34 +311,6 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), popped.len(), "no item may be popped twice");
-    }
-
-    #[test]
-    fn drain_matching_takes_matches_in_order_and_keeps_the_rest() {
-        let q = BoundedQueue::new(8);
-        for i in 0..6 {
-            q.try_push(i).unwrap();
-        }
-        let even = q.drain_matching(usize::MAX, |&i| i % 2 == 0);
-        assert_eq!(even, vec![0, 2, 4], "matches come out in queue order");
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.pop(), Some(1), "survivors keep their relative order");
-        assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop(), Some(5));
-    }
-
-    #[test]
-    fn drain_matching_respects_max_and_frees_capacity() {
-        let q = BoundedQueue::new(4);
-        for i in 0..4 {
-            q.try_push(i).unwrap();
-        }
-        assert!(matches!(q.try_push(9), Err(PushError::Full(9))));
-        let taken = q.drain_matching(2, |_| true);
-        assert_eq!(taken, vec![0, 1], "max caps the take, earliest first");
-        assert!(q.try_push(9).is_ok(), "drained slots readmit");
-        assert_eq!(q.drain_matching(10, |&i| i > 100), Vec::<i32>::new());
-        assert_eq!(q.len(), 3, "a no-match drain must not lose items");
     }
 
     /// The worker-loop expiry race, at queue level: items race a

@@ -10,9 +10,8 @@
 //! worker indefinitely (deadlines handle queueing time; the caps handle
 //! service time).
 //!
-//! [`Router::handle`] remains as the v1 adapter — the original
-//! stringly-typed entry point, now a thin decode-then-dispatch shim —
-//! so pre-v2 callers and tests keep their exact behaviour.
+//! [`Router::handle_typed`] is the router's one entry point: one body,
+//! one execution.
 //!
 //! The four cached endpoints are written once each, as `CachedEndpoint`
 //! impls, and reached through one table (`ENDPOINTS`).
@@ -25,8 +24,7 @@ use crate::proto::{
 use implant_core::cosim::{CalibrationCache, CosimError};
 use implant_core::fullchain::FullChainScenario;
 use implant_core::scenario::Fig11Scenario;
-use runtime::{Artifact, Batch, JobOutcome, Json, ParamPoint, Pool};
-use std::collections::HashMap;
+use runtime::{Artifact, Batch, JobOutcome, Json, Pool};
 use std::sync::Arc;
 use store::{CatchupBudget, Store};
 
@@ -105,10 +103,6 @@ impl Routed {
     }
 }
 
-/// One body's slot of a [`Router::handle_many`] call: `None` until an
-/// endpoint serves it.
-type Served = Option<Result<Routed, RouteError>>;
-
 /// What a [`Router::prewarm`] pass accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PrewarmReport {
@@ -123,7 +117,7 @@ pub struct PrewarmReport {
     pub unreadable: u64,
 }
 
-/// Shared routing state: the worker pool cached-endpoint batches run
+/// Shared routing state: the worker pool cached-endpoint computes run
 /// on, one bounded result cache per cached endpoint, and the
 /// co-simulation calibration tables (fixed capacity, memory only, fresh
 /// at every start).
@@ -137,7 +131,7 @@ pub struct Router {
 
 impl Router {
     /// A router whose caches hold at most `cache_capacity` entries each
-    /// and whose Monte Carlo batches run on `pool_workers` threads.
+    /// and whose simulation pool has `pool_workers` threads.
     pub fn new(pool_workers: usize, cache_capacity: usize, mc_trial_cap: u64) -> Self {
         Self::build(pool_workers, cache_capacity, mc_trial_cap, None)
     }
@@ -234,28 +228,6 @@ impl Router {
         DecodeLimits { mc_trial_cap: self.mc_trial_cap, ..DecodeLimits::default() }
     }
 
-    /// Dispatches one data-plane request from its raw `params` — the v1
-    /// adapter: decodes into a typed body, then routes it.
-    ///
-    /// # Errors
-    ///
-    /// `bad_request` on invalid parameters, `unknown_endpoint` on an
-    /// unrouted (or control-plane) name, `simulation_failed` when the
-    /// model fails numerically, `internal` when it panics.
-    pub fn handle(&self, endpoint: &str, params: &Json) -> Result<Routed, RouteError> {
-        let body = RequestBody::decode(endpoint, params, &self.limits())?;
-        if body.is_control() {
-            return Err(RouteError {
-                code: ErrorCode::UnknownEndpoint,
-                field: Some("endpoint".to_string()),
-                message: format!(
-                    "no endpoint {endpoint:?} (data endpoints: {DATA_ENDPOINTS:?}; control endpoints are answered inline)"
-                ),
-            });
-        }
-        self.handle_typed(&body)
-    }
-
     /// Dispatches one decoded data-plane body.
     ///
     /// # Errors
@@ -267,38 +239,18 @@ impl Router {
     /// control-plane body is routed here (the connection answers those
     /// inline).
     pub fn handle_typed(&self, body: &RequestBody) -> Result<Routed, RouteError> {
-        self.handle_many(&[body]).pop().expect("one result per body")
-    }
-
-    /// Dispatches many decoded data-plane bodies at once, with results
-    /// in input order and bit-identical to calling
-    /// [`Router::handle_typed`] on each in turn. The bodies of each
-    /// cached endpoint run as one shared pool batch, deduplicated by
-    /// cache key; `fig11` and `fullchain` bodies run one at a time.
-    pub fn handle_many(&self, bodies: &[&RequestBody]) -> Vec<Result<Routed, RouteError>> {
-        let mut out = vec![None; bodies.len()];
-        for endpoint in &ENDPOINTS {
-            (endpoint.serve)(self, bodies, &mut out);
-        }
-        out.into_iter()
-            .zip(bodies)
-            .map(|(served, body)| served.unwrap_or_else(|| self.handle_uncached(body)))
-            .collect()
-    }
-
-    /// The bodies no result cache holds: the transients and, refused
-    /// here, the control plane.
-    fn handle_uncached(&self, body: &RequestBody) -> Result<Routed, RouteError> {
         match body {
             RequestBody::Fig11(p) => self.fig11(p),
             RequestBody::Fullchain(p) => self.fullchain(p),
-            control => Err(RouteError {
-                code: ErrorCode::UnknownEndpoint,
-                field: Some("endpoint".to_string()),
-                message: format!(
-                    "control endpoint {:?} is answered inline, not routed to the data plane",
-                    control.endpoint()
-                ),
+            _ => ENDPOINTS.iter().find_map(|e| (e.serve)(self, body)).unwrap_or_else(|| {
+                Err(RouteError {
+                    code: ErrorCode::UnknownEndpoint,
+                    field: Some("endpoint".to_string()),
+                    message: format!(
+                        "control endpoint {:?} is answered inline, not routed to the data plane",
+                        body.endpoint()
+                    ),
+                })
             }),
         }
     }
@@ -392,56 +344,25 @@ impl Router {
         ])))
     }
 
-    /// The one cached-endpoint path, over every body of `bodies` that
-    /// `E` claims. Duplicates collapse onto one slot by cache key; the
-    /// distinct points run as one pool batch against `E`'s own cache;
-    /// each request maps back occurrence-wise into `out`. The first
-    /// occurrence of a point reports the run's actual cache outcome,
-    /// later ones observe the value as a hit, exactly as sequential
-    /// execution would report.
-    fn serve<E: CachedEndpoint>(&self, bodies: &[&RequestBody], out: &mut [Served]) {
-        let mut unique: Vec<&E> = Vec::new();
-        let mut points: Vec<ParamPoint> = Vec::new();
-        let mut slot_of: HashMap<u64, usize> = HashMap::new();
-        // (position, params, slot, first occurrence) per claimed body.
-        let mut mapping = Vec::new();
-        for (i, body) in bodies.iter().enumerate() {
-            let Some(p) = E::of(body) else { continue };
-            let point = p.point();
-            let next = unique.len();
-            let slot = *slot_of.entry(runtime::cache_key(E::NAMESPACE, &point)).or_insert(next);
-            if slot == next {
-                unique.push(p);
-                points.push(point);
-            }
-            mapping.push((i, p, slot, slot == next));
-        }
-        if mapping.is_empty() {
-            return;
-        }
-        let batch = Batch { name: E::NAMESPACE.to_string(), seed: 0, points };
-        let run = self
-            .pool
-            .run_cached(&batch, E::cache(&self.caches), |ctx| unique[ctx.index].compute());
-        for (i, p, slot, first) in mapping {
-            let job = &run.results[slot];
-            out[i] = Some(match &job.outcome {
-                JobOutcome::Ok(value) => {
-                    let cached = !first || job.from_cache;
-                    Ok(Routed {
-                        result: p.render(value, cached),
-                        cache_hits: u64::from(cached),
-                        cache_misses: u64::from(!cached),
-                    })
-                }
-                // Formatted as the failure list of a one-point batch, so
-                // the message does not depend on what was merged.
-                JobOutcome::Panicked(msg) => Err(RouteError::internal(format!(
-                    "{} panicked: {:?}",
-                    E::JOB,
-                    [(0, msg)]
-                ))),
-            });
+    /// The one cached-endpoint path: a one-point pool run against `E`'s
+    /// own cache (lookup, compute on a miss, write-through), rendered
+    /// with its cache outcome.
+    fn serve<E: CachedEndpoint>(&self, p: &E) -> Result<Routed, RouteError> {
+        let batch = Batch { name: E::NAMESPACE.to_string(), seed: 0, points: vec![p.point()] };
+        let run = self.pool.run_cached(&batch, E::cache(&self.caches), |_| p.compute());
+        let job = run.results.into_iter().next().expect("one result per point");
+        match job.outcome {
+            JobOutcome::Ok(value) => Ok(Routed {
+                result: p.render(&value, job.from_cache),
+                cache_hits: u64::from(job.from_cache),
+                cache_misses: u64::from(!job.from_cache),
+            }),
+            // Formatted as the failure list of a one-point batch.
+            JobOutcome::Panicked(msg) => Err(RouteError::internal(format!(
+                "{} panicked: {:?}",
+                E::JOB,
+                [(0, msg)]
+            ))),
         }
     }
 }
@@ -450,8 +371,7 @@ impl Router {
 /// sit in one table.
 struct Endpoint {
     namespace: &'static str,
-    claims: fn(&RequestBody) -> bool,
-    serve: fn(&Router, &[&RequestBody], &mut [Served]),
+    serve: fn(&Router, &RequestBody) -> Option<Result<Routed, RouteError>>,
     render: fn(&RequestBody, &Json) -> Option<Json>,
     resident: fn(&Caches, &RequestBody, u64) -> Option<Json>,
     admit: fn(&Caches, u64, &Json) -> bool,
@@ -462,8 +382,7 @@ impl Endpoint {
     const fn of<E: CachedEndpoint>() -> Self {
         Endpoint {
             namespace: E::NAMESPACE,
-            claims: |body| E::of(body).is_some(),
-            serve: Router::serve::<E>,
+            serve: |router, body| Some(router.serve(E::of(body)?)),
             render: |body, value| Some(E::of(body)?.render(&E::Value::from_json(value)?, true)),
             resident: |caches, body, key| {
                 let p = E::of(body)?;
@@ -486,12 +405,6 @@ const ENDPOINTS: [Endpoint; 4] = [
     Endpoint::of::<CohortParams>(),
 ];
 
-/// True when `body` is a cached endpoint, whose queued requests a
-/// worker may merge into one [`Router::handle_many`] call.
-pub(crate) fn is_cached(body: &RequestBody) -> bool {
-    ENDPOINTS.iter().any(|e| (e.claims)(body))
-}
-
 /// Renders the full result document a server would serve for `body`
 /// from the raw artifact `value` the shared tier holds under the
 /// body's route key — marked `cached: true`, byte-identical to a warm
@@ -509,8 +422,7 @@ pub fn render_cached_body(body: &RequestBody, value: &Json) -> Option<Json> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::SweepMedium;
-
+    
     fn router() -> Router {
         Router::new(2, 64, 100_000)
     }
@@ -519,9 +431,14 @@ mod tests {
         Json::obj(pairs)
     }
 
+    /// Decodes `p` as an `endpoint` body under `r`'s caps and routes it.
+    fn route(r: &Router, endpoint: &str, p: &Json) -> Result<Routed, RouteError> {
+        r.handle_typed(&RequestBody::decode(endpoint, p, &r.limits())?)
+    }
+
     #[test]
     fn unknown_endpoint_is_typed() {
-        let err = router().handle("nope", &params(vec![])).unwrap_err();
+        let err = route(&router(), "nope", &params(vec![])).unwrap_err();
         assert_eq!(err.code, ErrorCode::UnknownEndpoint);
         assert_eq!(err.field.as_deref(), Some("endpoint"));
     }
@@ -530,7 +447,7 @@ mod tests {
     fn control_endpoints_do_not_route_through_the_data_plane() {
         let r = router();
         for name in crate::proto::CONTROL_ENDPOINTS {
-            let err = r.handle(name, &params(vec![])).unwrap_err();
+            let err = route(&r, name, &params(vec![])).unwrap_err();
             assert_eq!(err.code, ErrorCode::UnknownEndpoint, "{name}");
         }
     }
@@ -538,8 +455,8 @@ mod tests {
     #[test]
     fn fig11_and_fullchain_serve_the_cosim_engine() {
         let r = router();
-        let mono = r.handle("fullchain", &params(vec![])).unwrap();
-        let co = r.handle("fullchain", &params(vec![("cosim", Json::Bool(true))])).unwrap();
+        let mono = route(&r, "fullchain", &params(vec![])).unwrap();
+        let co = route(&r, "fullchain", &params(vec![("cosim", Json::Bool(true))])).unwrap();
         assert_eq!(mono.result.get("cosim"), Some(&Json::Bool(false)));
         assert_eq!(co.result.get("cosim"), Some(&Json::Bool(true)));
         let vo = |routed: &Routed| {
@@ -552,7 +469,7 @@ mod tests {
             mono.result.get("supply_compliant")
         );
 
-        let co = r.handle("fig11", &params(vec![("cosim", Json::Bool(true))])).unwrap();
+        let co = route(&r, "fig11", &params(vec![("cosim", Json::Bool(true))])).unwrap();
         assert_eq!(co.result.get("cosim"), Some(&Json::Bool(true)));
         assert_eq!(co.result.get("downlink_errors"), Some(&Json::Num(0.0)));
         assert_eq!(co.result.get("vo_compliant"), Some(&Json::Bool(true)));
@@ -574,10 +491,10 @@ mod tests {
             ])
         };
         let r = router();
-        let cold = r.handle("fullchain", &request(1.5e3)).unwrap();
+        let cold = route(&r, "fullchain", &request(1.5e3)).unwrap();
         let hits = counter("cosim.calibration.hit");
         // Same front-end, different load: the table is reused.
-        let warm = r.handle("fullchain", &request(1.6e3)).unwrap();
+        let warm = route(&r, "fullchain", &request(1.6e3)).unwrap();
         assert!(
             counter("cosim.calibration.hit") > hits,
             "repeat identity missed the cache"
@@ -588,12 +505,11 @@ mod tests {
         );
         // A warm answer is the cold answer.
         assert_eq!(
-            r.handle("fullchain", &request(1.5e3)).unwrap().result,
+            route(&r, "fullchain", &request(1.5e3)).unwrap().result,
             cold.result
         );
         assert_eq!(
-            router()
-                .handle("fullchain", &request(1.6e3))
+            route(&router(), "fullchain", &request(1.6e3))
                 .unwrap()
                 .result,
             warm.result
@@ -609,10 +525,10 @@ mod tests {
             ("trials", Json::Num(300.0)),
             ("seed", Json::Num(42.0)),
         ]);
-        let first = r.handle("montecarlo", &p).unwrap();
+        let first = route(&r, "montecarlo", &p).unwrap();
         assert_eq!(first.cache_misses, 1);
         assert_eq!(first.result.get("cached"), Some(&Json::Bool(false)));
-        let second = r.handle("montecarlo", &p).unwrap();
+        let second = route(&r, "montecarlo", &p).unwrap();
         assert_eq!(second.cache_hits, 1);
         assert_eq!(second.result.get("cached"), Some(&Json::Bool(true)));
         // Identical payloads apart from the cache marker.
@@ -622,7 +538,7 @@ mod tests {
         );
         assert_eq!(first.result.get("passing"), second.result.get("passing"));
         // A fresh router at the same seed reproduces bit-for-bit.
-        let other = router().handle("montecarlo", &p).unwrap();
+        let other = route(&router(), "montecarlo", &p).unwrap();
         assert_eq!(
             first.result.get("vo_min_mean").and_then(Json::as_f64).map(f64::to_bits),
             other.result.get("vo_min_mean").and_then(Json::as_f64).map(f64::to_bits),
@@ -630,14 +546,14 @@ mod tests {
     }
 
     #[test]
-    fn typed_and_stringly_entry_points_agree() {
+    fn decoded_and_constructed_bodies_agree() {
         let r = router();
         let raw = params(vec![
             ("scale", Json::Num(1.0)),
             ("trials", Json::Num(200.0)),
             ("seed", Json::Num(7.0)),
         ]);
-        let via_adapter = r.handle("montecarlo", &raw).unwrap();
+        let via_decode = route(&r, "montecarlo", &raw).unwrap();
         let body = RequestBody::Montecarlo(MontecarloParams {
             scale: 1.0,
             trials: 200,
@@ -645,18 +561,17 @@ mod tests {
         });
         let via_typed = r.handle_typed(&body).unwrap();
         assert_eq!(
-            via_adapter.result.get("vo_min_mean"),
+            via_decode.result.get("vo_min_mean"),
             via_typed.result.get("vo_min_mean")
         );
-        assert_eq!(via_adapter.result.get("passing"), via_typed.result.get("passing"));
+        assert_eq!(via_decode.result.get("passing"), via_typed.result.get("passing"));
     }
 
     #[test]
     fn montecarlo_trial_cap_is_enforced() {
         let r = Router::new(1, 8, 1000);
-        let err = r
-            .handle("montecarlo", &params(vec![("trials", Json::Num(5000.0))]))
-            .unwrap_err();
+        let err =
+            route(&r, "montecarlo", &params(vec![("trials", Json::Num(5000.0))])).unwrap_err();
         assert_eq!(err.code, ErrorCode::BadRequest);
         assert!(err.message.contains("trials"), "{}", err.message);
     }
@@ -669,7 +584,7 @@ mod tests {
             ("d_max_mm", Json::Num(20.0)),
             ("steps", Json::Num(4.0)),
         ]);
-        let routed = r.handle("sweep", &p).unwrap();
+        let routed = route(&r, "sweep", &p).unwrap();
         // The whole grid is one cache entry under the route_point
         // identity (so HRW re-homing keeps sweeps warm).
         assert_eq!(routed.cache_misses, 1);
@@ -679,7 +594,7 @@ mod tests {
         assert_eq!(vals.len(), 4);
         assert!(vals.windows(2).all(|w| w[1] < w[0]), "monotone falloff: {vals:?}");
         // Second identical request is served fully from cache.
-        let again = r.handle("sweep", &p).unwrap();
+        let again = route(&r, "sweep", &p).unwrap();
         assert_eq!(again.cache_hits, 1);
         assert_eq!(again.cache_misses, 0);
         assert_eq!(again.result.get("cached"), Some(&Json::Bool(true)));
@@ -694,18 +609,18 @@ mod tests {
             ("hours", Json::Num(6.0)),
             ("profile", Json::Str("sensing".into())),
         ]);
-        let first = r.handle("patientday", &p).unwrap();
+        let first = route(&r, "patientday", &p).unwrap();
         assert_eq!(first.cache_misses, 1);
         assert_eq!(first.result.get("cached"), Some(&Json::Bool(false)));
         let summary = first.result.get("summary").unwrap();
         assert!(summary.get("end_h").and_then(Json::as_f64).unwrap() > 0.0);
         assert_eq!(summary.get("thermal_ok"), Some(&Json::Bool(true)));
-        let second = r.handle("patientday", &p).unwrap();
+        let second = route(&r, "patientday", &p).unwrap();
         assert_eq!(second.cache_hits, 1);
         assert_eq!(second.result.get("cached"), Some(&Json::Bool(true)));
         assert_eq!(second.result.get("summary"), first.result.get("summary"));
         // A fresh router reproduces bit-for-bit.
-        let other = router().handle("patientday", &p).unwrap();
+        let other = route(&router(), "patientday", &p).unwrap();
         assert_eq!(other.result.get("summary"), first.result.get("summary"));
     }
 
@@ -720,7 +635,7 @@ mod tests {
                 ("battery_mah", Json::Num(30.0)),
                 ("profile", Json::Str(profile.into())),
             ]);
-            r.handle("patientday", &p).unwrap().result
+            route(&r, "patientday", &p).unwrap().result
         };
         let idle = day("idle");
         let sensing = day("sensing");
@@ -741,11 +656,11 @@ mod tests {
             ("patients", Json::Num(8.0)),
             ("hours", Json::Num(4.0)),
         ]);
-        let first = r.handle("cohort", &p).unwrap();
+        let first = route(&r, "cohort", &p).unwrap();
         assert_eq!(first.cache_misses, 1);
         let report = first.result.get("report").unwrap();
         assert_eq!(report.get("patients").and_then(Json::as_u64), Some(8));
-        let second = r.handle("cohort", &p).unwrap();
+        let second = route(&r, "cohort", &p).unwrap();
         assert_eq!(second.cache_hits, 1);
         assert_eq!(second.result.get("digest"), first.result.get("digest"));
         // The served report round-trips into the scenario type and its
@@ -772,12 +687,12 @@ mod tests {
         let r = router();
         // 5000 patients alone is legal, 48 h alone is legal; together
         // they exceed the patient-hours budget.
-        let err = r
-            .handle(
-                "cohort",
-                &params(vec![("patients", Json::Num(5000.0)), ("hours", Json::Num(48.0))]),
-            )
-            .unwrap_err();
+        let err = route(
+            &r,
+            "cohort",
+            &params(vec![("patients", Json::Num(5000.0)), ("hours", Json::Num(48.0))]),
+        )
+        .unwrap_err();
         assert_eq!(err.code, ErrorCode::BadRequest);
         assert_eq!(err.field.as_deref(), Some("patients"));
         assert!(err.message.contains("patient-hours"), "{}", err.message);
@@ -802,11 +717,11 @@ mod tests {
             ("trials", Json::Num(200.0)),
             ("seed", Json::Num(17.0)),
         ]);
-        let warm = stored_router(&dir, "r0").handle("montecarlo", &p).unwrap();
+        let warm = route(&stored_router(&dir, "r0"), "montecarlo", &p).unwrap();
         assert_eq!(warm.result.get("cached"), Some(&Json::Bool(false)));
         // A different router (cold memory, same store) serves the same
         // request as a cache hit — zero recompute.
-        let cold = stored_router(&dir, "r1").handle("montecarlo", &p).unwrap();
+        let cold = route(&stored_router(&dir, "r1"), "montecarlo", &p).unwrap();
         assert_eq!(cold.cache_hits, 1, "the tier must satisfy the lookup");
         assert_eq!(cold.cache_misses, 0);
         assert_eq!(cold.result.get("cached"), Some(&Json::Bool(true)));
@@ -827,8 +742,8 @@ mod tests {
             ("patientday", params(vec![("seed", Json::Num(5.0)), ("hours", Json::Num(4.0))])),
             ("cohort", params(vec![("patients", Json::Num(4.0)), ("hours", Json::Num(3.0))])),
         ] {
-            let _ = r.handle(endpoint, &p).unwrap();
-            let served = r.handle(endpoint, &p).unwrap(); // warm → cached: true
+            let _ = route(&r, endpoint, &p).unwrap();
+            let served = route(&r, endpoint, &p).unwrap(); // warm → cached: true
             assert_eq!(served.result.get("cached"), Some(&Json::Bool(true)), "{endpoint}");
             let body = RequestBody::decode(endpoint, &p, &r.limits()).unwrap();
             let (ns, point) = body.route_point().unwrap();
@@ -861,7 +776,7 @@ mod tests {
         {
             let writer = stored_router(&dir, "r0");
             for (endpoint, p) in requests {
-                writer.handle(endpoint, p).unwrap();
+                route(&writer, endpoint, p).unwrap();
             }
         }
         let joiner = stored_router(&dir, "r1");
@@ -872,7 +787,7 @@ mod tests {
         assert_eq!(report.budget_skipped, 0);
         // Every endpoint now serves as a pure cache hit.
         for (endpoint, p) in requests {
-            let routed = joiner.handle(endpoint, p).unwrap();
+            let routed = route(&joiner, endpoint, p).unwrap();
             assert_eq!(routed.cache_hits, 1, "{endpoint} must hit the pre-warmed cache");
             assert_eq!(routed.cache_misses, 0, "{endpoint}");
             assert_eq!(routed.result.get("cached"), Some(&Json::Bool(true)), "{endpoint}");
@@ -886,15 +801,12 @@ mod tests {
         {
             let writer = stored_router(&dir, "r0");
             for seed in 0..4 {
-                writer
-                    .handle(
-                        "montecarlo",
-                        &params(vec![
-                            ("trials", Json::Num(60.0)),
-                            ("seed", Json::Num(seed as f64)),
-                        ]),
-                    )
-                    .unwrap();
+                route(
+                    &writer,
+                    "montecarlo",
+                    &params(vec![("trials", Json::Num(60.0)), ("seed", Json::Num(seed as f64))]),
+                )
+                .unwrap();
             }
         }
         let joiner = stored_router(&dir, "r1");
@@ -938,134 +850,10 @@ mod tests {
             ("cohort", params(vec![("enzyme", Json::Str("lox".into()))]), "enzyme"),
             ("cohort", params(vec![("patients", Json::Num(0.0))]), "patients"),
         ] {
-            let err = r.handle(endpoint, &p).unwrap_err();
+            let err = route(&r, endpoint, &p).unwrap_err();
             assert_eq!(err.code, ErrorCode::BadRequest, "{endpoint}: {}", err.message);
             assert!(err.message.contains(needle), "{endpoint}: {}", err.message);
             assert_eq!(err.field.as_deref(), Some(needle), "{endpoint}: {}", err.message);
         }
-    }
-
-    fn mc(scale: f64, trials: u64, seed: u64) -> RequestBody {
-        RequestBody::Montecarlo(MontecarloParams { scale, trials, seed: Some(seed) })
-    }
-
-    fn decoded(endpoint: &str, pairs: Vec<(&str, Json)>) -> RequestBody {
-        RequestBody::decode(endpoint, &params(pairs), &DecodeLimits::default()).unwrap()
-    }
-
-    #[test]
-    fn handle_many_dedupes_duplicates_into_one_execution() {
-        let r = router();
-        let (a, b) = (mc(1.0, 150, 5), mc(1.0, 150, 6));
-        let out = r.handle_many(&[&a, &a, &b]);
-        let [first, dup, distinct]: [&Routed; 3] =
-            [&out[0], &out[1], &out[2]].map(|res| res.as_ref().expect("mc ok"));
-
-        // One miss for the leader occurrence, a hit for its duplicate.
-        assert_eq!((first.cache_hits, first.cache_misses), (0, 1));
-        assert_eq!(first.result.get("cached"), Some(&Json::Bool(false)));
-        assert_eq!((dup.cache_hits, dup.cache_misses), (1, 0));
-        assert_eq!(dup.result.get("cached"), Some(&Json::Bool(true)));
-        assert_eq!((distinct.cache_hits, distinct.cache_misses), (0, 1));
-
-        // The duplicate's payload is the leader's, bit for bit.
-        assert_eq!(
-            first.result.get("vo_min_mean").and_then(Json::as_f64).map(f64::to_bits),
-            dup.result.get("vo_min_mean").and_then(Json::as_f64).map(f64::to_bits),
-        );
-        assert_ne!(
-            first.result.get("seed"),
-            distinct.result.get("seed"),
-            "distinct points stay distinct"
-        );
-    }
-
-    #[test]
-    fn handle_many_is_bit_identical_to_the_serial_loop() {
-        let (batched, serial) = (router(), router());
-        let hours = ("hours", Json::Num(2.0));
-        let day = decoded("patientday", vec![("seed", Json::Num(4.0)), hours.clone()]);
-        let shard = decoded("cohort", vec![("patients", Json::Num(3.0)), hours]);
-        let sweep = decoded("sweep", vec![("steps", Json::Num(3.0))]);
-        // Interleaved endpoints, with repeats of each.
-        let bodies = [
-            mc(1.0, 120, 9),
-            day.clone(),
-            mc(1.2, 80, 9),
-            shard.clone(),
-            sweep.clone(),
-            mc(1.0, 120, 9),
-            day,
-            shard,
-            sweep,
-        ];
-        let refs: Vec<&RequestBody> = bodies.iter().collect();
-        let many = batched.handle_many(&refs);
-        for (body, out) in bodies.iter().zip(&many) {
-            let one = serial.handle_typed(body).expect("serial ok");
-            let out = out.as_ref().expect("batched ok");
-            // Same cache trajectory (repeats replay their first
-            // occurrence), so the whole document matches byte for byte.
-            assert_eq!(out.result.to_string(), one.result.to_string(), "{}", body.endpoint());
-            assert_eq!(
-                (out.cache_hits, out.cache_misses),
-                (one.cache_hits, one.cache_misses)
-            );
-        }
-    }
-
-    #[test]
-    fn merged_sweeps_are_bit_identical_to_the_serial_loop() {
-        let (batched, serial) = (router(), router());
-        let air = SweepParams {
-            d_min_mm: 2.0,
-            d_max_mm: 12.0,
-            steps: 4,
-            medium: SweepMedium::Air,
-        };
-        let tissue = SweepParams { medium: SweepMedium::Sirloin, ..air.clone() };
-        let bodies = [air.clone(), tissue, air].map(RequestBody::Sweep);
-        let refs: Vec<&RequestBody> = bodies.iter().collect();
-        let many = batched.handle_many(&refs);
-        for (body, out) in bodies.iter().zip(&many) {
-            let one = serial.handle_typed(body).expect("serial sweep ok");
-            let out = out.as_ref().expect("batched sweep ok");
-            assert_eq!(out.result.to_string(), one.result.to_string());
-            assert_eq!(
-                (out.cache_hits, out.cache_misses),
-                (one.cache_hits, one.cache_misses)
-            );
-        }
-    }
-
-    #[test]
-    fn many_against_a_warm_cache_reports_every_occurrence_as_a_hit() {
-        let r = router();
-        let p = mc(1.0, 140, 3);
-        assert_eq!(r.handle_typed(&p).expect("warmup").cache_misses, 1);
-        for out in r.handle_many(&[&p, &p]) {
-            let out = out.expect("warm mc ok");
-            assert_eq!((out.cache_hits, out.cache_misses), (1, 0));
-            assert_eq!(out.result.get("cached"), Some(&Json::Bool(true)));
-        }
-    }
-
-    #[test]
-    fn empty_batches_are_a_no_op() {
-        let r = router();
-        assert!(r.handle_many(&[]).is_empty());
-        assert_eq!(r.cache_stats(), (0, 0));
-    }
-
-    #[test]
-    fn single_element_batch_matches_the_direct_call() {
-        let r = router();
-        let p = mc(1.0, 110, 5);
-        let batched = r.handle_many(&[&p]);
-        assert_eq!(batched.len(), 1);
-        let batched = batched[0].as_ref().expect("batch of one ok");
-        assert_eq!((batched.cache_hits, batched.cache_misses), (0, 1));
-        let direct = Router::new(1, 16, 100_000).handle_typed(&p).expect("direct ok");
-        assert_eq!(batched.result.get("vo_min_mean"), direct.result.get("vo_min_mean"));
     }
 }

@@ -79,7 +79,7 @@ impl ServerMetrics {
     }
 
     /// Records a success with its service latency and the cache counts
-    /// its batch contributed.
+    /// its request contributed.
     pub fn record_ok(&self, endpoint: &str, latency: Duration, hits: u64, misses: u64) {
         self.with_entry(endpoint, |s| {
             s.requests += 1;

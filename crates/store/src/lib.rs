@@ -79,23 +79,18 @@ pub struct StoreStats {
 /// Many handles — across threads and across processes — may point at
 /// the same root. Writers only ever rename complete temp files into
 /// place, so readers never observe a torn object; the manifest of
-/// *this* replica is guarded by an in-process mutex and gains one
-/// journal line per update.
+/// *this* replica lives on disk only, gains one journal line per update,
+/// and its journal handle is guarded by an in-process mutex.
 pub struct Store {
     root: PathBuf,
     replica: String,
-    manifest: Mutex<OwnManifest>,
+    /// Append handle on this replica's journal, opened by the first
+    /// `put` after a compaction; the lock also orders compactions.
+    journal: Mutex<Option<File>>,
     writes: AtomicU64,
     reads: AtomicU64,
     misses: AtomicU64,
     corrupt: AtomicU64,
-}
-
-/// This replica's manifest in memory, and the append handle on its
-/// journal (opened by the first `put` after a compaction).
-struct OwnManifest {
-    manifest: Manifest,
-    journal: Option<File>,
 }
 
 impl std::fmt::Debug for Store {
@@ -123,19 +118,18 @@ impl Store {
         let root = root.into();
         std::fs::create_dir_all(root.join("objects"))?;
         std::fs::create_dir_all(root.join("manifests"))?;
-        let manifest = Manifest::load_replica(&root.join("manifests"), replica)
-            .unwrap_or_else(|| Manifest::new(replica));
         let store = Store {
             root,
             replica: replica.to_string(),
-            manifest: Mutex::new(OwnManifest { manifest, journal: None }),
+            journal: Mutex::new(None),
             writes: AtomicU64::new(0),
             reads: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
         };
         if store.journal_path().exists() {
-            store.compact(&mut store.manifest.lock().expect("manifest lock"))?;
+            let manifest = store.load_own().unwrap_or_else(|| Manifest::new(replica));
+            store.compact(&mut store.journal.lock().expect("journal lock"), &manifest)?;
         }
         Ok(store)
     }
@@ -162,13 +156,20 @@ impl Store {
         journal_path(&self.manifest_dir(), &self.replica)
     }
 
-    /// Writes this replica's manifest as a new snapshot, then removes
-    /// the journal it supersedes. A crash in between leaves both, and
-    /// the next replay of the journal over the snapshot changes nothing.
-    fn compact(&self, own: &mut OwnManifest) -> io::Result<()> {
+    /// This replica's manifest as it stands on disk: the snapshot with
+    /// the journal replayed over it. `None` when neither file exists.
+    fn load_own(&self) -> Option<Manifest> {
+        Manifest::load_replica(&self.manifest_dir(), &self.replica)
+    }
+
+    /// Writes `manifest` as this replica's new snapshot, then removes the
+    /// journal it supersedes; `journal` is the locked append handle. A
+    /// crash in between leaves both, and the next replay of the journal
+    /// over the snapshot changes nothing.
+    fn compact(&self, journal: &mut Option<File>, manifest: &Manifest) -> io::Result<()> {
         let snapshot = snapshot_path(&self.manifest_dir(), &self.replica);
-        atomic_write(&snapshot, own.manifest.to_json().to_string().as_bytes())?;
-        own.journal = None;
+        atomic_write(&snapshot, manifest.to_json().to_string().as_bytes())?;
+        *journal = None;
         match std::fs::remove_file(self.journal_path()) {
             Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
             _ => Ok(()),
@@ -192,16 +193,17 @@ impl Store {
             return;
         }
         self.writes.fetch_add(1, Ordering::Relaxed);
-        let mut own = self.manifest.lock().expect("manifest lock");
-        let line = own.manifest.record(key, namespace, len).journal_line(false);
-        if own.journal.is_none() {
-            own.journal = File::options().create(true).append(true).open(self.journal_path()).ok();
+        let entry = ManifestEntry { key, namespace: namespace.to_string(), bytes: len };
+        let line = entry.journal_line(false);
+        let mut journal = self.journal.lock().expect("journal lock");
+        if journal.is_none() {
+            *journal = File::options().create(true).append(true).open(self.journal_path()).ok();
         }
         // One write of one whole line; on failure the handle is dropped
         // and the next put reopens it.
-        if let Some(journal) = own.journal.as_mut() {
-            if journal.write_all(line.as_bytes()).is_err() {
-                own.journal = None;
+        if let Some(file) = journal.as_mut() {
+            if file.write_all(line.as_bytes()).is_err() {
+                *journal = None;
             }
         }
     }
@@ -352,21 +354,21 @@ impl Store {
         report.bytes_reclaimed = pruned.iter().map(|&(_, _, bytes)| bytes).sum();
         report.expired = pruned.into_iter().map(|(_, key, _)| key).collect();
 
-        // This handle's manifest first, under the write lock, so a
-        // concurrent `put` cannot resurrect a pruned entry in memory.
+        // This handle's manifest first, under the journal lock, so a
+        // concurrent `put` cannot append between the load and the
+        // compaction and lose its line.
         {
-            let mut own = self.manifest.lock().expect("manifest lock");
-            let journal = std::fs::read_to_string(self.journal_path()).ok();
-            if let Some(text) = &journal {
-                own.manifest.replay(text);
-            }
-            let mut changed = false;
-            for key in &report.expired {
-                changed |= own.manifest.remove(*key);
-            }
-            if changed || journal.is_some() {
-                let compacted = self.compact(&mut own).is_ok();
-                report.manifests_rewritten += u64::from(compacted && changed);
+            let mut journal = self.journal.lock().expect("journal lock");
+            let had_journal = self.journal_path().exists();
+            if let Some(mut manifest) = self.load_own() {
+                let mut changed = false;
+                for key in &report.expired {
+                    changed |= manifest.remove(*key);
+                }
+                if changed || had_journal {
+                    let compacted = self.compact(&mut journal, &manifest).is_ok();
+                    report.manifests_rewritten += u64::from(compacted && changed);
+                }
             }
         }
         if report.expired.is_empty() {

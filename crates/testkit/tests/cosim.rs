@@ -160,6 +160,38 @@ fn cosim_fullchain_matches_monolithic() {
     assert!(rel(co.vo_steady(), mono.vo_steady()) <= 0.02);
 }
 
+/// Cold full-chain runs across 7.4–8.4 mm, where the shorted staircase
+/// probe once stalled Newton on its capacitor-free `vrect` node until
+/// the step underflowed, plus a served request (`distance_mm`
+/// 8.157300000000001, 111 cycles) that failed that way. Every run must
+/// calibrate and relax.
+#[test]
+fn cosim_fullchain_calibrates_at_every_distance_near_8_mm() {
+    let pool = Pool::auto();
+    let mut requests: Vec<(f64, usize)> =
+        (0..40).map(|i| (7.4 + f64::from(i) / 39.0, 60)).collect();
+    requests.push((8.157300000000001, 111));
+    let failed: Vec<String> = requests
+        .iter()
+        .filter_map(|&(mm, cycles)| {
+            let scenario = FullChainScenario {
+                distance: mm * 1e-3,
+                cycles,
+                ..FullChainScenario::ironic()
+            };
+            let err = scenario.run_cosim(&pool).err()?;
+            Some(format!("{mm} mm, {cycles} cycles: {err}"))
+        })
+        .collect();
+    assert!(
+        failed.is_empty(),
+        "{} of {} runs failed:\n{}",
+        failed.len(),
+        requests.len(),
+        failed.join("\n")
+    );
+}
+
 // ---- calibration reuse --------------------------------------------------
 
 /// The next representable value above a positive `x`.
