@@ -106,8 +106,7 @@ impl Fig11Scenario {
     ///
     /// # Errors
     ///
-    /// Calibration failures and relaxation divergence as
-    /// [`CosimError`].
+    /// As [`run_cosim_with`](Fig11Scenario::run_cosim_with).
     pub fn run_cosim(&self, pool: &Pool) -> Result<Fig11Outcome, CosimError> {
         self.run_cosim_with(pool, &CalibrationCache::new())
             .map(|(outcome, _)| outcome)
@@ -119,14 +118,17 @@ impl Fig11Scenario {
     ///
     /// # Errors
     ///
-    /// Calibration failures and relaxation divergence as
-    /// [`CosimError`].
+    /// [`CosimError::InvalidPlan`] when `t_stop` cuts the timeline (see
+    /// [`Fig11Scenario::check_timeline`]), calibration failures and
+    /// relaxation divergence, all as [`CosimError`].
     pub fn run_cosim_with(
         &self,
         pool: &Pool,
         tables: &CalibrationCache,
     ) -> Result<(Fig11Outcome, CosimReport), CosimError> {
         let _span = obs::span!("fig11.cosim");
+        self.check_timeline()
+            .map_err(|cut| CosimError::InvalidPlan(cut.to_string()))?;
         let spec = self.cosim_spec();
         let run = cosim::run_fig11_cached(&spec, &RatePlan::fig11(), pool, &tables.rectifier)?;
         let outcome = self.evaluate_traces(run.vo, run.vi_env, run.vdem);

@@ -42,5 +42,5 @@ pub mod system;
 pub use cosim::{CalibrationCache, CosimError, CosimReport, FullChainCosimOutcome, RatePlan};
 pub use fullchain::{FullChainOutcome, FullChainScenario};
 pub use montecarlo::{MonteCarloStudy, VariationModel, YieldReport};
-pub use scenario::{Fig11Outcome, Fig11Scenario};
+pub use scenario::{Fig11Outcome, Fig11Scenario, TimelineCut};
 pub use system::{ImplantSystem, SessionOutcome, SystemConfig};

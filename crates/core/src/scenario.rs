@@ -9,6 +9,7 @@ use pmu::demodulator::{DemodulatorCircuit, TwoPhaseClock};
 use pmu::modulator::LoadModulator;
 use pmu::rectifier::RectifierCircuit;
 use pmu::V_O_MIN;
+use std::fmt;
 
 /// Configuration of the Fig. 11 run.
 #[derive(Debug, Clone)]
@@ -38,6 +39,36 @@ pub struct Fig11Scenario {
     pub t_stop: f64,
     /// Transient step ceiling, seconds.
     pub max_step: f64,
+}
+
+/// A horizon that ends before the scenario's uplink burst does. The
+/// outcome reads the carrier envelope inside the burst, so a run with
+/// such a horizon is refused before it starts instead of evaluating
+/// empty windows.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TimelineCut {
+    /// The requested simulation end, seconds.
+    pub t_stop: f64,
+    /// The earliest end that covers the timeline (the last uplink
+    /// bit), seconds.
+    pub timeline_end: f64,
+}
+
+impl fmt::Display for TimelineCut {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "t_stop = {:.0} µs cuts the scenario's timeline (needs ≥ {:.0} µs)",
+            self.t_stop * 1e6,
+            self.timeline_end * 1e6,
+        )
+    }
+}
+
+impl From<TimelineCut> for SimError {
+    fn from(cut: TimelineCut) -> Self {
+        SimError::InvalidParameter { name: "t_stop", reason: cut.to_string() }
+    }
 }
 
 impl Fig11Scenario {
@@ -73,6 +104,23 @@ impl Fig11Scenario {
         s.uplink_start = 110.0e-6;
         s.t_stop = 160.0e-6;
         s
+    }
+
+    /// Checks that `t_stop` reaches the end of the uplink burst, whose
+    /// windows the outcome evaluates. Every run entry point calls this
+    /// first.
+    ///
+    /// # Errors
+    ///
+    /// [`TimelineCut`] when the horizon ends inside the timeline.
+    pub fn check_timeline(&self) -> Result<(), TimelineCut> {
+        let timeline_end =
+            self.uplink_start + self.uplink_bits.len() as f64 / self.uplink_rate;
+        // 1 ns slack: µs → s conversions are not exact in binary.
+        if self.t_stop + 1e-9 < timeline_end {
+            return Err(TimelineCut { t_stop: self.t_stop, timeline_end });
+        }
+        Ok(())
     }
 
     /// The ASK modulator implied by the scenario amplitudes (5/3/1 mW
@@ -119,8 +167,11 @@ impl Fig11Scenario {
     ///
     /// # Errors
     ///
-    /// Propagates simulation failures.
+    /// [`SimError::InvalidParameter`] naming `t_stop` when the horizon
+    /// cuts the timeline (see [`check_timeline`](Self::check_timeline)),
+    /// and simulation failures.
     pub fn run(&self) -> Result<Fig11Outcome, SimError> {
+        self.check_timeline()?;
         let ckt = {
             let _build = obs::span!("fig11.build");
             self.build()
@@ -144,8 +195,9 @@ impl Fig11Scenario {
     ///
     /// # Errors
     ///
-    /// Propagates simulation failures.
+    /// As [`run`](Self::run).
     pub fn run_reference(&self) -> Result<Fig11Outcome, SimError> {
+        self.check_timeline()?;
         let ckt = self.build();
         let spec =
             analog::TransientSpec::new(self.t_stop).with_max_step(self.max_step);
@@ -159,10 +211,11 @@ impl Fig11Scenario {
     ///
     /// # Errors
     ///
-    /// Propagates simulation failures.
+    /// As [`run`](Self::run).
     pub fn run_profiled(
         &self,
     ) -> Result<(Fig11Outcome, analog::EngineStats, u64), SimError> {
+        self.check_timeline()?;
         let ckt = self.build();
         let sim = ckt.compile()?;
         let cfg = TranConfig::builder(self.t_stop)

@@ -122,3 +122,31 @@ fn full_chain_uplink_detected_on_pa_supply() {
     // And Co rides through the shorted bits.
     assert!(out.vo.min_in(30.0e-6, out.t_window.1) > 2.1);
 }
+
+#[test]
+fn a_horizon_that_cuts_the_timeline_is_an_error_not_a_panic() {
+    use implant_core::cosim::{CalibrationCache, CosimError};
+    use implant_core::TimelineCut;
+
+    // The paper preset's uplink burst ends at 620 µs.
+    let scenario = Fig11Scenario { t_stop: 165.0e-6, ..Fig11Scenario::default() };
+    let cut = scenario.check_timeline().unwrap_err();
+    assert_eq!(cut, TimelineCut { t_stop: 165.0e-6, timeline_end: 620.0e-6 });
+    match scenario.run() {
+        Err(analog::SimError::InvalidParameter { name, reason }) => {
+            assert_eq!(name, "t_stop");
+            assert_eq!(reason, cut.to_string());
+        }
+        other => panic!("expected InvalidParameter, got {:?}", other.map(|o| o.t_charged)),
+    }
+    let tables = CalibrationCache::new();
+    match scenario.run_cosim_with(&runtime::Pool::new(1), &tables) {
+        Err(CosimError::InvalidPlan(why)) => assert_eq!(why, cut.to_string()),
+        other => panic!("expected InvalidPlan, got {:?}", other.map(|(o, _)| o.t_charged)),
+    }
+    assert!(tables.is_empty(), "nothing was calibrated for a refused run");
+    // A horizon that ends exactly with the burst still runs.
+    assert!(Fig11Scenario { t_stop: 150.0e-6, ..Fig11Scenario::shortened() }
+        .check_timeline()
+        .is_ok());
+}

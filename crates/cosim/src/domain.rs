@@ -6,17 +6,21 @@ use crate::exchange::{Exchange, Port};
 
 /// One co-simulated domain.
 ///
-/// The scheduler runs a Jacobi-style waveform relaxation: every
-/// iteration, each domain [`advance`](Domain::advance)s over the same
-/// macro-step reading only the *previous* iterate's bus snapshot, so
-/// the proposals are independent of evaluation order and worker count.
-/// Once the boundary residual converges, the scheduler commits the
-/// window to the bus and calls [`commit`](Domain::commit) so the domain
-/// can roll its internal state forward from the converged inputs.
+/// The scheduler runs a Gauss–Seidel waveform relaxation: every sweep,
+/// the domains [`advance`](Domain::advance) over the same macro-step in
+/// their fixed order, each reading the bus as the sweep has left it —
+/// this sweep's proposals from the domains before it, the previous
+/// sweep's from the domains after it, and on a window's first sweep the
+/// linear extrapolation of a port's committed history. That fixed
+/// order, on one thread, is what makes the proposals independent of
+/// the worker count. Once a whole sweep moves no port by more than the
+/// tolerance, the scheduler commits the window to the bus and calls
+/// [`commit`](Domain::commit) so the domain can roll its internal state
+/// forward from the converged inputs.
 ///
 /// `advance` must therefore be a pure function of the committed state
-/// and the snapshot — same inputs, bit-identical proposals — and must
-/// not mutate anything observable before `commit`.
+/// and the bus it is handed — same inputs, bit-identical proposals —
+/// and must not mutate anything observable before `commit`.
 pub trait Domain: Sync {
     /// Stable domain name (used in errors and stats).
     fn name(&self) -> &'static str;

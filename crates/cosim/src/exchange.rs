@@ -3,21 +3,24 @@
 //!
 //! An [`ExchangeBuffer`] is a strictly-ordered sampled waveform with
 //! linear interpolation — deliberately the same semantics as
-//! [`analog::Waveform`], but growable, so a buffer accumulates one
-//! committed macro-step at a time. The [`Exchange`] is the bus: a name →
-//! buffer map every domain reads its inputs from and the scheduler
-//! writes converged outputs into. Buffers are seeded with an explicit
-//! initial sample, so the first relaxation iterate of the first
-//! macro-step starts from a defined value rather than an empty read —
-//! end-clamped sampling then doubles as the constant extrapolation that
-//! opens every subsequent macro-step.
+//! [`analog::Waveform`] inside its span, but growable, so a buffer
+//! accumulates one committed macro-step at a time. The [`Exchange`] is
+//! the bus: a name → buffer map every domain reads its inputs from and
+//! the scheduler writes converged outputs into. Buffers are seeded with
+//! an explicit initial sample, so the first relaxation sweep of the
+//! first macro-step starts from a defined value rather than an empty
+//! read. Past its last sample a buffer extrapolates its last segment
+//! linearly (a seed-only buffer holds its seed): that is the opener a
+//! port reads at the start of every later macro-step, before its
+//! producer has proposed anything for the window.
 //!
-//! Relaxation iterates live on the bus itself: the scheduler appends a
-//! window's proposals *tentatively* ([`Exchange::propose`]) and rolls
-//! back to the committed length of every port before the next iterate
-//! ([`Exchange::rollback`]), then either accepts the converged iterate
-//! ([`Exchange::accept`]) or rolls back on failure. No iterate ever
-//! copies the history, so an iteration costs O(window), not O(run).
+//! Relaxation iterates live on the bus itself: each sweep, the
+//! scheduler replaces a port's tentative samples with its producer's
+//! new proposal (`Exchange::propose`), so domains later in the sweep
+//! read it at once. It then either accepts the converged window
+//! (`Exchange::accept`) or drops every tentative sample on failure
+//! (`Exchange::rollback`). No sweep ever copies the history, so a
+//! sweep costs O(window), not O(run).
 
 use crate::error::CosimError;
 use analog::Waveform;
@@ -51,9 +54,11 @@ impl Port {
     }
 }
 
-/// A growable sampled waveform with linear interpolation and
-/// end-clamping. Samples past the committed length are tentative: the
-/// current relaxation iterate, dropped again by a rollback.
+/// A growable sampled waveform with linear interpolation, clamped
+/// before its first sample and linearly extrapolated past its last.
+/// Samples past the committed length are tentative: the current
+/// relaxation iterate, replaced by the next proposal or dropped by a
+/// rollback.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExchangeBuffer {
     times: Vec<f64>,
@@ -74,16 +79,23 @@ impl ExchangeBuffer {
         }
     }
 
-    /// Linear interpolation at `t`, clamped to the first/last sample
-    /// outside the covered span. Reading past the end is how the
-    /// scheduler extrapolates the previous macro-step into the next.
+    /// Linear interpolation at `t`, clamped to the first sample before
+    /// the covered span. Past the last sample the last segment is
+    /// extended linearly, which is how a window opens: a port its
+    /// producer has not yet proposed for reads the previous macro-step's
+    /// trend. A seed-only buffer has no segment and holds its seed.
     pub fn sample(&self, t: f64) -> f64 {
         let n = self.times.len();
         if t <= self.times[0] {
             return self.values[0];
         }
         if t >= self.times[n - 1] {
-            return self.values[n - 1];
+            let (t1, v1) = (self.times[n - 1], self.values[n - 1]);
+            if n == 1 {
+                return v1;
+            }
+            let (t0, v0) = (self.times[n - 2], self.values[n - 2]);
+            return v1 + (v1 - v0) * (t - t1) / (t1 - t0);
         }
         // partition_point: first index with time > t, so `hi ∈ [1, n-1]`.
         let hi = self.times.partition_point(|&x| x <= t);
@@ -143,8 +155,7 @@ impl ExchangeBuffer {
 }
 
 /// The exchange bus: every boundary port's committed history plus,
-/// while a macro-step relaxes, the previous iterate's tentative
-/// proposals.
+/// while a macro-step relaxes, each port's latest tentative proposal.
 #[derive(Debug, Clone, Default)]
 pub struct Exchange {
     ports: BTreeMap<String, ExchangeBuffer>,
@@ -187,20 +198,24 @@ impl Exchange {
         self.ports.get(name).map(ExchangeBuffer::waveform)
     }
 
-    /// Appends an iterate's segment tentatively: readers see it until
-    /// the next [`rollback`](Exchange::rollback) or
-    /// [`accept`](Exchange::accept).
+    /// Replaces the port's tentative samples with a new proposal:
+    /// readers see it until the next proposal for the same port, a
+    /// [`rollback`](Exchange::rollback) or an
+    /// [`accept`](Exchange::accept). Other ports are untouched.
     ///
     /// # Errors
     ///
     /// [`CosimError::MissingPort`] when the proposal names an unseeded
     /// port.
     pub(crate) fn propose(&mut self, port: &Port) -> Result<(), CosimError> {
-        self.writer(&port.name)?.extend(port);
+        let buffer = self.writer(&port.name)?;
+        buffer.rollback();
+        buffer.extend(port);
         Ok(())
     }
 
-    /// Drops every tentative sample, back to the committed history.
+    /// Drops every tentative sample, back to the committed history (a
+    /// failed window leaves the bus as it was before the window).
     pub(crate) fn rollback(&mut self) {
         for buffer in self.ports.values_mut() {
             buffer.rollback();
@@ -245,7 +260,7 @@ mod tests {
         buf.append(&port);
         assert_eq!(buf.sample(-1.0), 1.0, "clamps before the seed");
         assert_eq!(buf.sample(0.5), 2.0, "linear between samples");
-        assert_eq!(buf.sample(9.0), 3.0, "clamps past the end");
+        assert_eq!(buf.sample(9.0), 3.0, "a flat last segment stays flat past the end");
         assert_eq!(buf.len(), 3);
         assert!(!buf.is_empty());
     }
@@ -274,6 +289,20 @@ mod tests {
     }
 
     #[test]
+    fn sampling_extrapolates_past_committed_end() {
+        let seed_only = ExchangeBuffer::seeded(0.0, 1.5, 1.0);
+        assert_eq!(seed_only.sample(3.0), 1.5, "a seed-only buffer holds its seed");
+        let mut buf = ExchangeBuffer::seeded(0.0, 0.0, 1.0);
+        let mut port = Port::new("x");
+        port.push(1.0, 1.0);
+        port.push(2.0, 3.0);
+        buf.append(&port);
+        assert_eq!(buf.sample(2.0), 3.0, "exact at the last sample");
+        assert_eq!(buf.sample(2.5), 4.0, "the last segment's slope carries on");
+        assert_eq!(buf.sample(-1.0), 0.0, "still clamps before the seed");
+    }
+
+    #[test]
     fn rollback_drops_only_tentative_samples() {
         let mut bus = Exchange::new();
         bus.seed("v", 0.0, 1.0, 1.0);
@@ -282,6 +311,7 @@ mod tests {
         bus.propose(&first).unwrap();
         bus.accept();
         let mut iterate = Port::new("v");
+        iterate.push(1.5, 4.0);
         iterate.push(2.0, 5.0);
         bus.propose(&iterate).unwrap();
         assert_eq!(
@@ -291,19 +321,44 @@ mod tests {
         );
         bus.rollback();
         let v = bus.reader("v").unwrap();
-        assert_eq!((v.len(), v.end_time(), v.sample(2.0)), (2, 1.0, 2.0));
+        assert_eq!((v.len(), v.end_time()), (2, 1.0), "every tentative sample is gone");
+        assert_eq!(
+            v.sample(2.0),
+            3.0,
+            "a read past the committed end extrapolates the last committed segment"
+        );
         bus.propose(&iterate).unwrap();
         bus.accept();
         bus.rollback();
         assert_eq!(
             bus.reader("v").unwrap().len(),
-            3,
+            4,
             "accepted samples survive a rollback"
         );
         assert!(matches!(
             bus.propose(&Port::new("missing")),
             Err(CosimError::MissingPort(_))
         ));
+    }
+
+    #[test]
+    fn a_proposal_replaces_only_its_own_ports_tentative_samples() {
+        let mut bus = Exchange::new();
+        bus.seed("a", 0.0, 0.0, 1.0);
+        bus.seed("b", 0.0, 0.0, 1.0);
+        let segment = |name: &str, v: f64| {
+            let mut port = Port::new(name);
+            port.push(0.5, v);
+            port.push(1.0, v);
+            port
+        };
+        bus.propose(&segment("a", 1.0)).unwrap();
+        bus.propose(&segment("b", 7.0)).unwrap();
+        bus.propose(&segment("a", 2.0)).unwrap();
+        let a = bus.reader("a").unwrap();
+        assert_eq!((a.len(), a.sample(1.0)), (3, 2.0), "the newer proposal replaced the older");
+        let b = bus.reader("b").unwrap();
+        assert_eq!((b.len(), b.sample(1.0)), (3, 7.0), "the other port keeps its proposal");
     }
 
     #[test]

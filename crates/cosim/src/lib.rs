@@ -16,10 +16,12 @@
 //! Domains exchange boundary waveforms (carrier envelope and charging
 //! current out of the link, storage voltage back from the PMU,
 //! demodulator output and LSK state from comms) over an [`Exchange`]
-//! bus, reconciled by a bounded Jacobi waveform-relaxation loop per
-//! macro-step (see [`Cosim`]). Relaxation runs inline on the calling
-//! thread, and every domain of an iteration reads the same bus state,
-//! so results are bit-identical at any `IMPLANT_WORKERS`. Only the
+//! bus, reconciled by a bounded Gauss–Seidel waveform-relaxation loop
+//! per macro-step (see [`Cosim`]): each domain reads the proposals the
+//! domains before it made in the same sweep, and a window opens on the
+//! linear extrapolation of the committed history. Relaxation runs
+//! inline on the calling thread in a fixed domain order, so results
+//! are bit-identical at any `IMPLANT_WORKERS`. Only the
 //! carrier-rate calibration probes run concurrently on
 //! [`runtime::Pool`], and their tables are reusable across runs that
 //! share a front-end (see [`calibration`]).

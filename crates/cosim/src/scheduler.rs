@@ -1,26 +1,41 @@
-//! The macro-step scheduler: bounded waveform relaxation, evaluated
-//! inline on the calling thread.
+//! The macro-step scheduler: bounded Gauss–Seidel waveform relaxation,
+//! evaluated inline on the calling thread.
+//!
+//! # Relaxation
+//!
+//! Each sweep advances the domains over the window in their fixed
+//! order (the order they were added). A domain's proposals are scored
+//! against the bus and then replace that port's tentative samples at
+//! once, so every later domain of the same sweep reads them
+//! (Gauss–Seidel, after Lelarasmee, Ruehli & Sangiovanni-Vincentelli,
+//! IEEE TCAD 1982). On a one-way-dominant chain — the link drives the
+//! PMU, the PMU feeds back weakly — this converges in fewer sweeps than
+//! evaluating every domain against the previous sweep's bus. A port not
+//! yet proposed for the window reads the linear extrapolation of its
+//! last committed segment (see [`ExchangeBuffer::sample`]). The window
+//! converges once a whole sweep moves no port by more than the
+//! tolerance.
 //!
 //! # Determinism
 //!
-//! Each relaxation iteration evaluates every domain against the *same*
-//! bus state (Jacobi, not Gauss–Seidel): the domains run in fixed
-//! order, and the iterate's proposals only reach the bus after all of
-//! them have proposed. No domain sees a partially updated bus, so a
-//! co-simulation is bit-identical at any `IMPLANT_WORKERS` — the worker
-//! count never enters the relaxation at all.
+//! The sweep runs on one thread in the fixed domain order, so what
+//! each domain reads is fixed by that order alone: a co-simulation is
+//! bit-identical at any `IMPLANT_WORKERS` — the worker count never
+//! enters the relaxation at all.
 //!
 //! # Cost
 //!
 //! A domain advance over one window takes microseconds, far less than
 //! handing it to a thread, so the loop stays on the caller's thread.
-//! Iterates are appended to the bus tentatively and rolled back to the
-//! committed length of each port (see [`Exchange`]), so an iteration
-//! costs O(window) however long the committed history grows.
+//! Proposals are appended to the bus tentatively and replace only their
+//! own port's previous proposal (see [`Exchange`]), so a sweep costs
+//! O(window) however long the committed history grows.
+//!
+//! [`ExchangeBuffer::sample`]: crate::exchange::ExchangeBuffer::sample
 
 use crate::domain::Domain;
 use crate::error::CosimError;
-use crate::exchange::{Exchange, Port};
+use crate::exchange::Exchange;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Rates and relaxation bounds of a co-simulation.
@@ -93,9 +108,9 @@ impl Default for RatePlan {
 pub struct CosimStats {
     /// Macro-steps taken.
     pub macro_steps: u64,
-    /// Total relaxation iterations across all macro-steps.
+    /// Total relaxation sweeps across all macro-steps.
     pub iterations: u64,
-    /// Largest iteration count any single macro-step needed.
+    /// Largest sweep count any single macro-step needed.
     pub worst_step_iterations: u64,
     /// Largest converged residual any macro-step settled at.
     pub worst_residual: f64,
@@ -118,7 +133,9 @@ impl Cosim {
         }
     }
 
-    /// Adds a domain. Order fixes commit order (and nothing else).
+    /// Adds a domain. Order fixes the relaxation sweep order (a domain
+    /// reads the proposals of the domains added before it from the same
+    /// sweep) and the commit order.
     pub fn add_domain(&mut self, domain: Box<dyn Domain>) {
         self.domains.push(domain);
     }
@@ -171,34 +188,28 @@ impl Cosim {
     }
 
     /// Relaxes one macro-step to convergence, leaving the accepted
-    /// iterate on the bus as tentative samples for the caller to
-    /// accept (or, on failure, roll back).
+    /// sweep on the bus as tentative samples for the caller to accept
+    /// (or, on failure, roll back).
     fn relax_window(&mut self, t0: f64, t1: f64, stats: &mut CosimStats) -> Result<(), CosimError> {
         let _span = obs::span!("cosim.window");
-        // Every iteration reads committed history plus the previous
-        // iterate's proposals (end-clamped sampling makes the committed
-        // bus itself the constant-extrapolation opener).
-        let mut proposals: Vec<Port> = Vec::new();
         let mut step_iterations = 0u64;
         let mut residual = f64::INFINITY;
         for _ in 0..self.plan.max_iterations {
             step_iterations += 1;
-            proposals.clear();
-            for domain in &self.domains {
-                let advanced = catch_unwind(AssertUnwindSafe(|| domain.advance(t0, t1, &self.bus)))
-                    .map_err(|payload| CosimError::Panicked {
-                        domain: domain.name().to_string(),
-                        message: runtime::panic_message(payload.as_ref()),
-                    })?;
-                proposals.extend(advanced?);
-            }
             residual = 0.0;
-            for port in &proposals {
-                residual = residual.max(self.bus.residual(port)?);
-            }
-            self.bus.rollback();
-            for port in &proposals {
-                self.bus.propose(port)?;
+            for domain in &self.domains {
+                let proposals =
+                    catch_unwind(AssertUnwindSafe(|| domain.advance(t0, t1, &self.bus)))
+                        .map_err(|payload| CosimError::Panicked {
+                            domain: domain.name().to_string(),
+                            message: runtime::panic_message(payload.as_ref()),
+                        })??;
+                for port in &proposals {
+                    residual = residual.max(self.bus.residual(port)?);
+                }
+                for port in &proposals {
+                    self.bus.propose(port)?;
+                }
             }
             obs::count!("cosim.iteration");
             if residual.is_finite() && residual <= self.plan.tolerance {
@@ -224,6 +235,92 @@ impl Cosim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exchange::Port;
+    use std::sync::{Arc, Mutex};
+
+    /// Proposes 1.0 on `a` whatever the bus holds.
+    struct Source;
+
+    impl Domain for Source {
+        fn name(&self) -> &'static str {
+            "source"
+        }
+
+        fn advance(&self, _t0: f64, t1: f64, _bus: &Exchange) -> Result<Vec<Port>, CosimError> {
+            let mut port = Port::new("a");
+            port.push(t1, 1.0);
+            Ok(vec![port])
+        }
+
+        fn commit(&mut self, _t0: f64, _t1: f64, _bus: &Exchange) -> Result<(), CosimError> {
+            Ok(())
+        }
+    }
+
+    /// Copies `a` onto `b`, logging every value it read.
+    struct Follower {
+        reads: Arc<Mutex<Vec<f64>>>,
+    }
+
+    impl Domain for Follower {
+        fn name(&self) -> &'static str {
+            "follower"
+        }
+
+        fn advance(&self, _t0: f64, t1: f64, bus: &Exchange) -> Result<Vec<Port>, CosimError> {
+            let a = bus.reader("a")?.sample(t1);
+            self.reads.lock().unwrap().push(a);
+            let mut port = Port::new("b");
+            port.push(t1, a);
+            Ok(vec![port])
+        }
+
+        fn commit(&mut self, _t0: f64, _t1: f64, _bus: &Exchange) -> Result<(), CosimError> {
+            Ok(())
+        }
+    }
+
+    /// Relaxes one window of the source → follower chain with the
+    /// domains added in the given order; returns the sweep count and
+    /// what the follower read in each sweep.
+    fn one_way_chain(source_first: bool) -> (u64, Vec<f64>) {
+        let plan = RatePlan { macro_step: 1.0, envelope_dt: 1.0, tolerance: 1e-9, max_iterations: 8 };
+        let mut sim = Cosim::new(plan);
+        sim.seed_port("a", 0.0, 0.0, 1.0);
+        sim.seed_port("b", 0.0, 0.0, 1.0);
+        let reads = Arc::new(Mutex::new(Vec::new()));
+        let follower = Box::new(Follower { reads: Arc::clone(&reads) });
+        if source_first {
+            sim.add_domain(Box::new(Source));
+            sim.add_domain(follower);
+        } else {
+            sim.add_domain(follower);
+            sim.add_domain(Box::new(Source));
+        }
+        let stats = sim.run(0.0, 1.0).expect("the chain converges");
+        assert_eq!(stats.macro_steps, 1);
+        assert_eq!(sim.bus().reader("b").unwrap().sample(1.0), 1.0, "b settles on a");
+        let reads = reads.lock().unwrap().clone();
+        (stats.iterations, reads)
+    }
+
+    #[test]
+    fn later_domains_read_this_sweeps_proposals() {
+        let (sweeps, reads) = one_way_chain(true);
+        assert_eq!(
+            reads,
+            vec![1.0, 1.0],
+            "the follower reads the source's proposal from its own first sweep"
+        );
+        assert_eq!(sweeps, 2, "one sweep to propagate, one to confirm");
+        // Added the other way round, the follower only ever sees the
+        // previous sweep's `a` — what a Jacobi sweep shows every domain
+        // — and the window takes one sweep more.
+        let (jacobi_sweeps, jacobi_reads) = one_way_chain(false);
+        assert_eq!(jacobi_reads, vec![0.0, 1.0, 1.0], "the first sweep reads the seed");
+        assert_eq!(jacobi_sweeps, 3);
+        assert!(sweeps < jacobi_sweeps);
+    }
 
     #[test]
     fn rate_plans_reject_nonsense() {

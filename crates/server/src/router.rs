@@ -277,21 +277,18 @@ impl Router {
         if let Some(v) = p.max_step_ns {
             scenario.max_step = v * 1e-9;
         }
-        // The outcome evaluates waveform windows up to the end of the
-        // uplink burst; a horizon that cuts into the timeline would
-        // leave them empty (a panic, not a result). `max_step_ns` is
-        // the knob for cheap runs, not truncation. This check needs the
-        // preset's timeline, so it lives here rather than in decode.
-        let timeline_end =
-            scenario.uplink_start + scenario.uplink_bits.len() as f64 / scenario.uplink_rate;
-        // 1 ns slack: the µs→s conversions are not exact in binary.
-        if scenario.t_stop + 1e-9 < timeline_end {
+        // A horizon that cuts into the preset's timeline is a client
+        // error, not a failed simulation: answer it as a bad field.
+        // `max_step_ns` is the knob for cheap runs, not truncation. The
+        // check needs the preset's timeline, so it runs here rather
+        // than in decode.
+        if let Err(cut) = scenario.check_timeline() {
             return Err(RouteError::bad_field(
                 "t_stop_us",
                 format!(
                     "\"t_stop_us\" = {:.0} cuts the preset's timeline (needs ≥ {:.0} µs)",
-                    scenario.t_stop * 1e6,
-                    timeline_end * 1e6,
+                    cut.t_stop * 1e6,
+                    cut.timeline_end * 1e6,
                 ),
             ));
         }
@@ -825,6 +822,20 @@ mod tests {
         let report = router().prewarm(|_| true, &CatchupBudget::default(), 0);
         assert_eq!(report, PrewarmReport::default());
         assert!(router().store().is_none());
+    }
+
+    #[test]
+    fn a_cut_timeline_is_refused_with_its_wire_message() {
+        for cosim in [false, true] {
+            let p = params(vec![("t_stop_us", Json::Num(40.0)), ("cosim", Json::Bool(cosim))]);
+            let err = route(&router(), "fig11", &p).unwrap_err();
+            assert_eq!(err.code, ErrorCode::BadRequest);
+            assert_eq!(err.field.as_deref(), Some("t_stop_us"));
+            assert_eq!(
+                err.message,
+                "\"t_stop_us\" = 40 cuts the preset's timeline (needs ≥ 150 µs)"
+            );
+        }
     }
 
     #[test]

@@ -102,6 +102,31 @@ fn cosim_fig11_is_bit_identical_at_any_worker_count() {
     assert_eq!(base.vo.values(), again.vo.values(), "cosim is not run-to-run deterministic");
 }
 
+/// Gauss–Seidel sweeps with the linear window opener settle the
+/// shortened Fig. 11 in at most four sweeps per macro-step (Jacobi
+/// sweeps with a constant opener took 6.2), on one worker or eight,
+/// with the same outcome bit for bit.
+#[test]
+fn cosim_fig11_relaxes_in_at_most_four_sweeps_per_step() {
+    let scenario = Fig11Scenario::shortened();
+    let run = |workers: usize| {
+        scenario
+            .run_cosim_with(&Pool::new(workers), &CalibrationCache::new())
+            .expect("cosim runs")
+    };
+    let (one, one_report) = run(1);
+    let (eight, eight_report) = run(8);
+    let stats = one_report.stats;
+    assert!(
+        stats.iterations <= 4 * stats.macro_steps,
+        "{} sweeps over {} macro-steps",
+        stats.iterations,
+        stats.macro_steps
+    );
+    assert_eq!(one_report.stats, eight_report.stats, "scheduler counters differ");
+    assert_same_fig11(&one, &eight);
+}
+
 /// The paper's full 1.5 ms timeline through the cosim engine must meet
 /// the paper's own claims (the monolithic comparison happens on the
 /// shortened timeline; at the paper's operating point `t_charged` is
