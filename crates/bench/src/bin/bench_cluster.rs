@@ -32,16 +32,16 @@
 //!    both variants — the store run must shrink it — plus catch-up and
 //!    hedge counters.
 //!
-//! `--json PATH` writes `BENCH_cluster.json`
-//! (schema `implant-bench-cluster/1`, checked by `bench_validate`;
-//! `--warm` adds the `warm` object with `post_kill_p99_ms`,
-//! `catchup_keys` and `hedged_reads`).
+//! Every contract is a gate and the run exits non-zero if any fails.
+//! `--json PATH` writes the `implant-bench/1` artifact
+//! `BENCH_cluster.json`; `--warm` adds the `warm.*` metrics
+//! (`post_kill_p99_ms`, `catchup_keys`, `hedged_reads`) and gates.
 //!
 //! ```text
 //! cargo run --release --bin bench_cluster -- --smoke --warm --json BENCH_cluster.json
 //! ```
 
-use bench::{banner, duration_us, verdict};
+use bench::{banner, stage_rows, Gate, Op, Record};
 use cluster::{ClusterClient, HealthState, HedgeConfig, ProbeConfig, ReplicaSet, RetryPolicy};
 use runtime::{Json, LatencyHistogram};
 use server::ServerConfig;
@@ -132,15 +132,6 @@ impl ScalePoint {
     fn rps(&self) -> f64 {
         self.ok as f64 / self.wall.as_secs_f64()
     }
-
-    /// True when every replica answered at least half its fair share
-    /// of the keys — what a sharder that funnels keys onto a subset of
-    /// the set fails.
-    fn balanced(&self) -> bool {
-        let floor = self.ok as f64 / (2 * self.replicas) as f64;
-        self.answered.len() == self.replicas
-            && self.answered.values().all(|&n| n as f64 >= floor)
-    }
 }
 
 /// Drives `connections × requests` unique-seed Monte Carlo requests at
@@ -213,17 +204,6 @@ fn drive_window(
         }
     }
     (latency, lost)
-}
-
-fn window_json(name: &str, hist: &LatencyHistogram) -> (String, Json) {
-    (
-        name.to_string(),
-        Json::obj(vec![
-            ("requests", Json::Num(hist.count() as f64)),
-            ("p50_us", Json::Num(duration_us(hist.p50()))),
-            ("p99_us", Json::Num(duration_us(hist.p99()))),
-        ]),
-    )
 }
 
 fn ms(d: Duration) -> f64 {
@@ -313,6 +293,7 @@ fn warm_variant(args: &Args, store_dir: Option<&std::path::Path>) -> WarmVariant
 fn main() {
     let args = Args::parse();
     banner("S2", "implant-cluster replica scaling and failover");
+    obs::reset();
     let replica_counts: &[usize] = if args.smoke { &[1, 2] } else { &[1, 2, 4] };
     let cores = std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
     println!(
@@ -335,39 +316,23 @@ fn main() {
             p.broken
         );
     }
-    let no_losses = points.iter().all(|p| p.broken == 0);
     let speedup2 = points
         .iter()
         .find(|p| p.replicas == 2)
         .map(|p2| p2.rps() / points[0].rps().max(f64::MIN_POSITIVE));
     // One hardware thread per narrow replica, plus one for the drivers
     // and pollers: below that the N = 2 point cannot scale.
-    let scaling_ok = match speedup2 {
-        Some(s) if cores > 2 => {
-            let ok = s >= 1.7;
-            println!("  N=2 speedup {s:.2}× (want ≥ 1.70×) … {}", verdict(ok));
-            ok
-        }
-        Some(s) => {
-            println!(
-                "  N=2 speedup {s:.2}× — {cores} hardware thread(s), fewer than two replicas \
-                 plus the load generator need; scaling check reported, not enforced"
-            );
-            true
-        }
-        None => true,
-    };
-    let balanced = points.iter().all(ScalePoint::balanced);
+    let enforce_n2 = cores > 2;
+    if let (Some(s), false) = (speedup2, enforce_n2) {
+        println!(
+            "  N=2 speedup {s:.2}× — {cores} hardware thread(s), fewer than two replicas \
+             plus the load generator need; scaling check reported, not enforced"
+        );
+    }
     for p in points.iter().filter(|p| p.replicas > 1) {
         let shares: Vec<String> =
             p.answered.iter().map(|(name, keys)| format!("{name} {keys}")).collect();
-        println!(
-            "  N={} keys per replica [{}] (each ≥ half its fair share of {}) … {}",
-            p.replicas,
-            shares.join(", "),
-            p.ok,
-            verdict(p.balanced())
-        );
+        println!("  N={} keys per replica [{}] of {}", p.replicas, shares.join(", "), p.ok);
     }
 
     // Phase 2: kill a replica under load.
@@ -390,20 +355,22 @@ fn main() {
     let stats = client.stats();
     set.shutdown();
 
-    let lost = lost_before + lost_during + lost_after;
+    let kill_lost = lost_before + lost_during + lost_after;
     println!("  {:>7}  {:>9}  {:>9}", "window", "p50", "p99");
     for (name, hist) in [("before", &before), ("during", &during), ("after", &after)] {
         println!("  {:>7}  {:>9?}  {:>9?}", name, hist.p50(), hist.p99());
     }
     println!(
-        "  failovers {} · retries {} · reconnects {}",
-        stats.failovers, stats.retries, stats.connects
+        "  failovers {} · retries {} · reconnects {} · {} of {} answered",
+        stats.failovers,
+        stats.retries,
+        stats.connects,
+        3 * w - kill_lost,
+        3 * w
     );
-    let zero_lost = lost == 0;
-    println!("  zero lost in-deadline requests ({} of {}) … {}", 3 * w - lost, 3 * w, verdict(zero_lost));
 
     // Phase 3: post-kill repeat reads, bare vs shared store.
-    let warm = if args.warm {
+    let warm = args.warm.then(|| {
         println!();
         println!("post-kill repeat reads (no store vs shared store + hedged reads):");
         let store_dir = std::env::temp_dir()
@@ -426,111 +393,169 @@ fn main() {
             "  catch-up pre-warmed {} keys · {} hedged reads · {} store hits",
             stored.catchup_keys, stored.hedges, stored.store_hits
         );
-        let shrink = stored.post_kill.p99() < baseline.post_kill.p99();
-        println!(
-            "  store shrinks post-kill p99 ({:.2?} → {:.2?}) … {}",
-            baseline.post_kill.p99(),
-            stored.post_kill.p99(),
-            verdict(shrink)
-        );
-        let warm_lost = baseline.lost + stored.lost;
-        println!(
-            "  zero lost across both variants … {}",
-            verdict(warm_lost == 0)
-        );
-        Some((baseline, stored, shrink && warm_lost == 0))
-    } else {
-        None
-    };
+        (baseline, stored)
+    });
+    let rows = stage_rows();
 
-    if let Some(path) = &args.json_path {
-        let scaling = Json::Obj(
-            points
-                .iter()
-                .map(|p| {
-                    (
-                        format!("n{}", p.replicas),
-                        Json::obj(vec![
-                            ("replicas", Json::Num(p.replicas as f64)),
-                            ("wall_s", Json::Num(p.wall.as_secs_f64())),
-                            ("throughput_rps", Json::Num(p.rps())),
-                            ("p50_us", Json::Num(duration_us(p.latency.p50()))),
-                            ("p99_us", Json::Num(duration_us(p.latency.p99()))),
-                            ("ok", Json::Num(p.ok as f64)),
-                            ("broken", Json::Num(p.broken as f64)),
-                            (
-                                "answered",
-                                Json::Obj(
-                                    p.answered
-                                        .iter()
-                                        .map(|(name, &keys)| (name.clone(), Json::Num(keys as f64)))
-                                        .collect(),
-                                ),
-                            ),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        let mut doc = Json::obj(vec![
-            ("schema", Json::Str("implant-bench-cluster/1".to_string())),
-            (
-                "config",
-                Json::obj(vec![
-                    ("connections", Json::Num(args.connections as f64)),
-                    ("requests", Json::Num(args.requests as f64)),
-                    ("mc_trials", Json::Num(args.mc_trials as f64)),
-                    ("hardware_threads", Json::Num(cores as f64)),
-                ]),
-            ),
-            ("scaling", scaling),
-            (
-                "speedup_n2",
-                speedup2.map_or(Json::Null, Json::Num),
-            ),
-            (
-                "kill",
-                Json::Obj(vec![
-                    window_json("before", &before),
-                    window_json("during", &during),
-                    window_json("after", &after),
-                    ("lost".to_string(), Json::Num(lost as f64)),
-                    ("failovers".to_string(), Json::Num(stats.failovers as f64)),
-                    ("retries".to_string(), Json::Num(stats.retries as f64)),
-                ]),
-            ),
-        ]);
-        if let (Some((baseline, stored, _)), Json::Obj(pairs)) = (&warm, &mut doc) {
-            let variant = |v: &WarmVariant| {
-                Json::obj(vec![
-                    ("requests", Json::Num(v.post_kill.count() as f64)),
-                    ("post_kill_p50_ms", Json::Num(ms(v.post_kill.p50()))),
-                    ("post_kill_p99_ms", Json::Num(ms(v.post_kill.p99()))),
-                    ("lost", Json::Num(v.lost as f64)),
-                ])
-            };
-            pairs.push((
-                "warm".to_string(),
-                Json::obj(vec![
-                    ("baseline", variant(baseline)),
-                    ("store", variant(stored)),
-                    ("catchup_keys", Json::Num(stored.catchup_keys as f64)),
-                    ("hedged_reads", Json::Num(stored.hedges as f64)),
-                    ("store_hits", Json::Num(stored.store_hits as f64)),
-                ]),
-            ));
+    let mut record = Record::new(
+        "bench_cluster",
+        vec![
+            ("connections", args.connections as f64),
+            ("requests", args.requests as f64),
+            ("mc_trials", args.mc_trials as f64),
+            ("hardware_threads", cores as f64),
+        ],
+    );
+    for p in &points {
+        let at = format!("scaling.n{}", p.replicas);
+        record.metric(format!("{at}.wall_s"), p.wall.as_secs_f64());
+        record.metric(format!("{at}.throughput_rps"), p.rps());
+        record.metric(format!("{at}.ok"), p.ok as f64);
+        record.metric(format!("{at}.broken"), p.broken as f64);
+        record.latency(&format!("{at}.latency"), &p.latency);
+        for (name, &keys) in &p.answered {
+            record.metric(format!("{at}.answered.{name}"), keys as f64);
         }
-        bench::write_bench_json(path, &doc);
+    }
+    if let Some(s) = speedup2 {
+        record.metric("speedup_n2", s);
+    }
+    for (name, hist) in [("before", &before), ("during", &during), ("after", &after)] {
+        record.latency(&format!("kill.{name}"), hist);
+    }
+    record.metric("kill.lost", kill_lost as f64);
+    record.metric("kill.failovers", stats.failovers as f64);
+    record.metric("kill.retries", stats.retries as f64);
+    if let Some((baseline, stored)) = &warm {
+        for (name, v) in [("baseline", baseline), ("store", stored)] {
+            record.metric(format!("warm.{name}.requests"), v.post_kill.count() as f64);
+            record.metric(format!("warm.{name}.post_kill_p50_ms"), ms(v.post_kill.p50()));
+            record.metric(format!("warm.{name}.post_kill_p99_ms"), ms(v.post_kill.p99()));
+            record.metric(format!("warm.{name}.lost"), v.lost as f64);
+        }
+        record.metric("warm.catchup_keys", stored.catchup_keys as f64);
+        record.metric("warm.hedged_reads", stored.hedges as f64);
+        record.metric("warm.store_hits", stored.store_hits as f64);
+    }
+    let gates = gates(&points, speedup2.filter(|_| enforce_n2), kill_lost, warm.as_ref());
+    record.finish(&rows, &gates, args.json_path.as_deref());
+}
+
+/// The cluster contracts: no scaling point loses a request; the N = 2
+/// point scales when `enforced_n2` carries its speedup; every replica
+/// answers at least half its fair share of the keys (what a sharder
+/// that funnels keys onto a subset of the set fails); a kill loses no
+/// in-deadline request; and with `--warm`, neither variant loses one
+/// and the store shrinks the post-kill p99.
+fn gates(
+    points: &[ScalePoint],
+    enforced_n2: Option<f64>,
+    kill_lost: u64,
+    warm: Option<&(WarmVariant, WarmVariant)>,
+) -> Vec<Gate> {
+    let mut gates = Vec::new();
+    for p in points {
+        let at = format!("scaling.n{}", p.replicas);
+        let fewest = p.answered.values().copied().min().unwrap_or(0);
+        gates.push(Gate::new(format!("{at}.broken"), p.broken as f64, Op::Eq, 0.0));
+        gates.push(Gate::new(
+            format!("{at}.replicas_answering"),
+            p.answered.len() as f64,
+            Op::Eq,
+            p.replicas as f64,
+        ));
+        gates.push(Gate::new(
+            format!("{at}.fewest_keys"),
+            fewest as f64,
+            Op::Ge,
+            p.ok as f64 / (2 * p.replicas) as f64,
+        ));
+    }
+    if let Some(s) = enforced_n2 {
+        gates.push(Gate::new("speedup_n2", s, Op::Ge, 1.7));
+    }
+    gates.push(Gate::new("kill.lost", kill_lost as f64, Op::Eq, 0.0));
+    if let Some((baseline, stored)) = warm {
+        gates.push(Gate::new("warm.baseline.lost", baseline.lost as f64, Op::Eq, 0.0));
+        gates.push(Gate::new("warm.store.lost", stored.lost as f64, Op::Eq, 0.0));
+        gates.push(Gate::new(
+            "warm.store.post_kill_p99_ms",
+            ms(stored.post_kill.p99()),
+            Op::Lt,
+            ms(baseline.post_kill.p99()),
+        ));
+    }
+    gates
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn point(replicas: usize, answered: &[u64]) -> ScalePoint {
+        ScalePoint {
+            replicas,
+            wall: Duration::from_secs(1),
+            latency: LatencyHistogram::new(),
+            ok: answered.iter().sum(),
+            broken: 0,
+            answered: answered.iter().enumerate().map(|(i, &n)| (format!("r{i}"), n)).collect(),
+        }
     }
 
-    let pass = no_losses
-        && scaling_ok
-        && balanced
-        && zero_lost
-        && warm.as_ref().is_none_or(|(_, _, ok)| *ok);
-    println!();
-    println!("bench_cluster verdict: {}", verdict(pass));
-    if !pass {
-        std::process::exit(1);
+    fn warm(post_kill_ms: u64, lost: u64) -> WarmVariant {
+        let mut post_kill = LatencyHistogram::new();
+        post_kill.record(Duration::from_millis(post_kill_ms));
+        WarmVariant { post_kill, lost, hedges: 0, store_hits: 0, catchup_keys: 0 }
+    }
+
+    #[test]
+    fn every_cluster_contract_is_gated_with_its_bound() {
+        let points = [point(1, &[20]), point(2, &[11, 9])];
+        let variants = (warm(200, 0), warm(20, 0));
+        let gates = gates(&points, Some(1.9), 0, Some(&variants));
+        let specs: Vec<(String, Op, f64)> =
+            gates.iter().map(|g| (g.name.clone(), g.op, g.bound)).collect();
+        let want = [
+            ("scaling.n1.broken", Op::Eq, 0.0),
+            ("scaling.n1.replicas_answering", Op::Eq, 1.0),
+            ("scaling.n1.fewest_keys", Op::Ge, 10.0),
+            ("scaling.n2.broken", Op::Eq, 0.0),
+            ("scaling.n2.replicas_answering", Op::Eq, 2.0),
+            ("scaling.n2.fewest_keys", Op::Ge, 5.0),
+            ("speedup_n2", Op::Ge, 1.7),
+            ("kill.lost", Op::Eq, 0.0),
+            ("warm.baseline.lost", Op::Eq, 0.0),
+            ("warm.store.lost", Op::Eq, 0.0),
+            ("warm.store.post_kill_p99_ms", Op::Lt, ms(variants.0.post_kill.p99())),
+        ];
+        let want: Vec<(String, Op, f64)> =
+            want.iter().map(|&(n, op, b)| (n.to_string(), op, b)).collect();
+        assert_eq!(specs, want);
+        assert!(gates.iter().all(Gate::holds));
+    }
+
+    #[test]
+    fn unenforced_scaling_and_a_cold_run_add_no_gates() {
+        let gates = gates(&[point(1, &[20]), point(2, &[10, 10])], None, 0, None);
+        assert!(gates.iter().all(|g| g.name != "speedup_n2" && !g.name.starts_with("warm.")));
+    }
+
+    #[test]
+    fn funnelled_keys_lost_requests_and_a_slow_store_fail() {
+        let failing = |gates: Vec<Gate>| -> Vec<String> {
+            gates.into_iter().filter(|g| !g.holds()).map(|g| g.name).collect()
+        };
+        let skewed = [point(1, &[20]), point(2, &[18, 2])];
+        assert_eq!(failing(gates(&skewed, None, 0, None)), ["scaling.n2.fewest_keys"]);
+        let one_replica = [point(1, &[20]), point(2, &[20])];
+        assert_eq!(failing(gates(&one_replica, None, 0, None)), ["scaling.n2.replicas_answering"]);
+        let points = [point(1, &[20]), point(2, &[10, 10])];
+        assert_eq!(failing(gates(&points, Some(1.2), 1, None)), ["speedup_n2", "kill.lost"]);
+        let slow_store = (warm(20, 0), warm(200, 1));
+        assert_eq!(
+            failing(gates(&points, None, 0, Some(&slow_store))),
+            ["warm.store.lost", "warm.store.post_kill_p99_ms"]
+        );
     }
 }

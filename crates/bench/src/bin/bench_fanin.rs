@@ -16,16 +16,16 @@
 //!    duplicate is a hit (collapsed onto a live flight or replayed from
 //!    cache), nothing is shed, nothing expires, nothing breaks.
 //!
-//! The run exits non-zero if any contract fails. `--profile` prints the
-//! per-stage breakdown from the [`obs`] registry; `--json PATH` writes
-//! the machine-readable `BENCH_fanin.json`.
+//! Each contract is a gate; the run exits non-zero if any fails.
+//! `--profile` prints the per-stage breakdown from the [`obs`] registry;
+//! `--json PATH` writes the `implant-bench/1` artifact `BENCH_fanin.json`.
 //!
 //! ```text
 //! cargo run --release --bin bench_fanin -- --connections 10000 \
 //!     --drivers 32 --requests 40 --profile --json BENCH_fanin.json
 //! ```
 
-use bench::{banner, duration_us, profile_table, stage_rows, stages_json, verdict};
+use bench::{banner, profile_table, stage_rows, Gate, Op, Record};
 use runtime::{Json, LatencyHistogram};
 use server::client::Client;
 use server::{Server, ServerConfig};
@@ -213,13 +213,9 @@ fn main() {
     let soak_target = capped_connections(args.connections);
     let soak = idle_soak(addr, soak_target);
     let threads_during = process_threads();
-    let threads_flat = threads_during <= threads_before + 2;
     println!(
-        "soak: {} idle connections parked · threads {} -> {} … {}",
-        soak.len(),
-        threads_before,
-        threads_during,
-        verdict(threads_flat)
+        "soak: {} idle connections parked · threads {threads_before} -> {threads_during}",
+        soak.len()
     );
 
     // Phase 2: the duplicate-heavy workload through the crowd.
@@ -278,105 +274,96 @@ fn main() {
         print!("{}", profile_table(&rows));
     }
 
-    println!();
-    println!("contracts:");
-    let all_answered = broken == 0 && answered == total && mc_requests == total;
-    println!("  every request answered ({answered}/{total}) … {}", verdict(all_answered));
-    println!(
-        "  threads track work, not sockets ({threads_before} -> {threads_during} across {} conns) … {}",
-        soak.len(),
-        verdict(threads_flat)
-    );
-    let collapse_exact =
-        misses == unique_keys as u64 && hits == duplicates && shed == 0 && expired == 0;
-    println!(
-        "  one execution per distinct point ({misses}/{unique_keys}), every duplicate a hit ({hits}/{duplicates}) … {}",
-        verdict(collapse_exact)
-    );
-
     // Phase 4: the loaded server still drains cleanly under the crowd.
     drop(soak);
-    let drained = {
-        let shutdown_ok = metrics_client
-            .request("shutdown", Json::Obj(Vec::new()))
-            .map(|r| r.is_ok())
-            .unwrap_or(false);
-        let overall = handle.join();
-        println!(
-            "  graceful shutdown drains and joins ({} server-side samples) … {}",
-            overall.count(),
-            verdict(shutdown_ok)
-        );
-        shutdown_ok
+    let drained = metrics_client
+        .request("shutdown", Json::Obj(Vec::new()))
+        .map(|r| r.is_ok())
+        .unwrap_or(false);
+    let overall = handle.join();
+    println!("graceful shutdown: {} server-side samples", overall.count());
+
+    let mut record = Record::new(
+        "bench_fanin",
+        vec![
+            ("connections", args.connections as f64),
+            ("drivers", args.drivers as f64),
+            ("requests", args.requests as f64),
+            ("duplicate_pct", args.duplicate_pct as f64),
+            ("hot_set", args.hot_set as f64),
+            ("mc_trials", args.mc_trials as f64),
+            ("workers", args.workers as f64),
+            ("pollers", args.pollers as f64),
+        ],
+    );
+    record.metric("soak.connections", soak_target as f64);
+    record.metric("wall_s", wall.as_secs_f64());
+    record.metric("requests_total", total as f64);
+    record.metric("throughput_rps", rps);
+    let outcomes =
+        [("ok", ok), ("overloaded", overloaded), ("other_errors", other), ("broken", broken)];
+    for (name, n) in outcomes {
+        record.metric(format!("outcomes.{name}"), n as f64);
+    }
+    record.latency("latency", &latency);
+    record.metric("collapse.collapsed", collapsed as f64);
+    let m = Measured {
+        total,
+        answered,
+        broken,
+        mc_requests,
+        threads_before,
+        threads_during,
+        unique_keys: unique_keys as u64,
+        duplicates,
+        misses,
+        hits,
+        shed,
+        expired,
+        drained,
     };
+    record.finish(&rows, &gates(&m), args.json_path.as_deref());
+}
 
-    if let Some(path) = &args.json_path {
-        let doc = Json::obj(vec![
-            ("schema", Json::Str("implant-bench-fanin/1".to_string())),
-            (
-                "config",
-                Json::obj(vec![
-                    ("connections", Json::Num(args.connections as f64)),
-                    ("drivers", Json::Num(args.drivers as f64)),
-                    ("requests", Json::Num(args.requests as f64)),
-                    ("duplicate_pct", Json::Num(args.duplicate_pct as f64)),
-                    ("hot_set", Json::Num(args.hot_set as f64)),
-                    ("mc_trials", Json::Num(args.mc_trials as f64)),
-                    ("workers", Json::Num(args.workers as f64)),
-                    ("pollers", Json::Num(args.pollers as f64)),
-                ]),
-            ),
-            (
-                "soak",
-                Json::obj(vec![
-                    ("connections", Json::Num(soak_target as f64)),
-                    ("threads_before", Json::Num(threads_before as f64)),
-                    ("threads_during", Json::Num(threads_during as f64)),
-                ]),
-            ),
-            ("wall_s", Json::Num(wall.as_secs_f64())),
-            ("requests_total", Json::Num(total as f64)),
-            ("throughput_rps", Json::Num(rps)),
-            (
-                "outcomes",
-                Json::obj(vec![
-                    ("ok", Json::Num(ok as f64)),
-                    ("overloaded", Json::Num(overloaded as f64)),
-                    ("other_errors", Json::Num(other as f64)),
-                    ("broken", Json::Num(broken as f64)),
-                ]),
-            ),
-            (
-                "latency_us",
-                Json::obj(vec![
-                    ("p50", Json::Num(duration_us(latency.p50()))),
-                    ("p95", Json::Num(duration_us(latency.p95()))),
-                    ("p99", Json::Num(duration_us(latency.p99()))),
-                ]),
-            ),
-            (
-                "collapse",
-                Json::obj(vec![
-                    ("unique_keys", Json::Num(unique_keys as f64)),
-                    ("duplicates", Json::Num(duplicates as f64)),
-                    ("cache_misses", Json::Num(misses as f64)),
-                    ("cache_hits", Json::Num(hits as f64)),
-                    ("collapsed", Json::Num(collapsed as f64)),
-                    ("shed", Json::Num(shed as f64)),
-                    ("expired", Json::Num(expired as f64)),
-                ]),
-            ),
-            ("stages", stages_json(&rows)),
-        ]);
-        bench::write_bench_json(path, &doc);
-    }
+/// What the fan-in run is gated on.
+struct Measured {
+    total: u64,
+    answered: u64,
+    broken: u64,
+    /// `montecarlo` requests the server's own metrics counted.
+    mc_requests: u64,
+    threads_before: usize,
+    threads_during: usize,
+    unique_keys: u64,
+    duplicates: u64,
+    misses: u64,
+    hits: u64,
+    shed: u64,
+    expired: u64,
+    drained: bool,
+}
 
-    let pass = all_answered && threads_flat && collapse_exact && drained;
-    println!();
-    println!("bench_fanin verdict: {}", verdict(pass));
-    if !pass {
-        std::process::exit(1);
-    }
+/// Every request answered; threads track work, not sockets; one
+/// execution per distinct point with every duplicate a hit; a clean
+/// drain under the crowd.
+fn gates(m: &Measured) -> Vec<Gate> {
+    let n = |v: u64| v as f64;
+    vec![
+        Gate::new("outcomes.broken", n(m.broken), Op::Eq, 0.0),
+        Gate::new("outcomes.answered", n(m.answered), Op::Eq, n(m.total)),
+        Gate::new("server.montecarlo_requests", n(m.mc_requests), Op::Eq, n(m.total)),
+        Gate::new(
+            "soak.threads_during",
+            m.threads_during as f64,
+            Op::Le,
+            m.threads_before as f64 + 2.0,
+        ),
+        Gate::new("collapse.cache_misses", n(m.misses), Op::Eq, n(m.unique_keys)),
+        Gate::new("collapse.cache_hits", n(m.hits), Op::Eq, n(m.duplicates)),
+        Gate::new("collapse.shed", n(m.shed), Op::Eq, 0.0),
+        Gate::new("collapse.expired", n(m.expired), Op::Eq, 0.0),
+        Gate::flag("shutdown.drained", m.drained),
+    ]
 }
 
 #[cfg(test)]
@@ -446,6 +433,48 @@ mod tests {
         let a = Args { duplicate_pct: 100, ..args() };
         let (_, unique) = schedule(&a);
         assert_eq!(unique, a.hot_set);
+    }
+
+    #[test]
+    fn answered_threads_and_collapse_are_gated_with_their_bounds() {
+        let m = Measured {
+            total: 200,
+            answered: 200,
+            broken: 0,
+            mc_requests: 200,
+            threads_before: 6,
+            threads_during: 8,
+            unique_keys: 24,
+            duplicates: 176,
+            misses: 24,
+            hits: 176,
+            shed: 0,
+            expired: 0,
+            drained: true,
+        };
+        let specs: Vec<(String, Op, f64)> =
+            gates(&m).into_iter().map(|g| (g.name, g.op, g.bound)).collect();
+        let want = [
+            ("outcomes.broken", Op::Eq, 0.0),
+            ("outcomes.answered", Op::Eq, 200.0),
+            ("server.montecarlo_requests", Op::Eq, 200.0),
+            ("soak.threads_during", Op::Le, 8.0),
+            ("collapse.cache_misses", Op::Eq, 24.0),
+            ("collapse.cache_hits", Op::Eq, 176.0),
+            ("collapse.shed", Op::Eq, 0.0),
+            ("collapse.expired", Op::Eq, 0.0),
+            ("shutdown.drained", Op::Eq, 1.0),
+        ];
+        let want: Vec<(String, Op, f64)> =
+            want.iter().map(|&(n, op, b)| (n.to_string(), op, b)).collect();
+        assert_eq!(specs, want);
+        assert!(gates(&m).iter().all(Gate::holds));
+        let failing = |m: Measured| -> Vec<String> {
+            gates(&m).into_iter().filter(|g| !g.holds()).map(|g| g.name).collect()
+        };
+        assert_eq!(failing(Measured { threads_during: 9, ..m }), ["soak.threads_during"]);
+        assert_eq!(failing(Measured { misses: 35, ..m }), ["collapse.cache_misses"]);
+        assert_eq!(failing(Measured { broken: 3, ..m }), ["outcomes.broken"]);
     }
 
     /// Pinned seeds: the workload is part of the bench's contract — a

@@ -18,14 +18,15 @@
 //!
 //! `--profile` prints the per-stage latency breakdown from the [`obs`]
 //! registry (the server runs in-process, so its stages are visible
-//! here); `--json PATH` writes the machine-readable `BENCH_serve.json`.
+//! here); `--json PATH` writes the `implant-bench/1` artifact
+//! `BENCH_serve.json`, whose gates are these three contracts.
 //!
 //! ```text
 //! cargo run --release --bin bench_serve -- --connections 8 --requests 40 \
 //!     --profile --json BENCH_serve.json
 //! ```
 
-use bench::{banner, duration_us, profile_table, stage_rows, stages_json, verdict};
+use bench::{banner, profile_table, stage_rows, verdict, Gate, Op, Record};
 use runtime::{Json, LatencyHistogram};
 use server::client::Client;
 use server::{Server, ServerConfig};
@@ -288,13 +289,6 @@ fn main() {
         print!("{}", profile_table(&rows));
     }
 
-    println!();
-    println!("contracts:");
-    let all_answered = broken == 0 && answered == total;
-    println!(
-        "  every request answered ({answered}/{total}) … {}",
-        verdict(all_answered)
-    );
     let shed_ok = overload_probe(args.workers);
 
     // Phase 3: graceful shutdown of the loaded server.
@@ -304,74 +298,78 @@ fn main() {
             rpc(&mut client, "shutdown", Json::Obj(Vec::new()), &mut report);
         }
         let overall = handle.join();
-        let ok = report.ok == 1 && report.broken == 0;
-        println!(
-            "  graceful shutdown drains and joins ({} server-side samples) … {}",
-            overall.count(),
-            verdict(ok)
-        );
-        ok
+        println!("graceful shutdown: {} server-side samples", overall.count());
+        report.ok == 1 && report.broken == 0
     };
 
-    if let Some(path) = &args.json_path {
-        let endpoints = Json::Obj(
-            by_endpoint
-                .iter()
-                .map(|(endpoint, hist)| {
-                    (
-                        (*endpoint).to_string(),
-                        Json::obj(vec![
-                            ("requests", Json::Num(hist.count() as f64)),
-                            ("p50_us", Json::Num(duration_us(hist.p50()))),
-                            ("p95_us", Json::Num(duration_us(hist.p95()))),
-                            ("p99_us", Json::Num(duration_us(hist.p99()))),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        let doc = Json::obj(vec![
-            ("schema", Json::Str("implant-bench-serve/1".to_string())),
-            (
-                "config",
-                Json::obj(vec![
-                    ("connections", Json::Num(args.connections as f64)),
-                    ("requests", Json::Num(args.requests as f64)),
-                    ("queue_capacity", Json::Num(args.queue_capacity as f64)),
-                    ("workers", Json::Num(args.workers as f64)),
-                    ("mc_trials", Json::Num(args.mc_trials as f64)),
-                ]),
-            ),
-            ("wall_s", Json::Num(wall.as_secs_f64())),
-            ("requests_total", Json::Num(total as f64)),
-            ("throughput_rps", Json::Num(rps)),
-            (
-                "outcomes",
-                Json::obj(vec![
-                    ("ok", Json::Num(ok as f64)),
-                    ("overloaded", Json::Num(overloaded as f64)),
-                    ("other_errors", Json::Num(other as f64)),
-                    ("broken", Json::Num(broken as f64)),
-                ]),
-            ),
-            (
-                "latency_us",
-                Json::obj(vec![
-                    ("p50", Json::Num(duration_us(latency.p50()))),
-                    ("p95", Json::Num(duration_us(latency.p95()))),
-                    ("p99", Json::Num(duration_us(latency.p99()))),
-                ]),
-            ),
-            ("endpoints", endpoints),
-            ("stages", stages_json(&rows)),
-        ]);
-        bench::write_bench_json(path, &doc);
+    let mut record = Record::new(
+        "bench_serve",
+        vec![
+            ("connections", args.connections as f64),
+            ("requests", args.requests as f64),
+            ("queue_capacity", args.queue_capacity as f64),
+            ("workers", args.workers as f64),
+            ("mc_trials", args.mc_trials as f64),
+        ],
+    );
+    record.metric("wall_s", wall.as_secs_f64());
+    record.metric("requests_total", total as f64);
+    record.metric("throughput_rps", rps);
+    let outcomes =
+        [("ok", ok), ("overloaded", overloaded), ("other_errors", other), ("broken", broken)];
+    for (name, n) in outcomes {
+        record.metric(format!("outcomes.{name}"), n as f64);
     }
+    record.latency("latency", &latency);
+    for (endpoint, hist) in &by_endpoint {
+        record.latency(&format!("endpoint.{endpoint}"), hist);
+    }
+    let gates = gates(&Measured { broken, answered, total, shed_ok, drained });
+    record.finish(&rows, &gates, args.json_path.as_deref());
+}
 
-    let pass = all_answered && shed_ok && drained;
-    println!();
-    println!("bench_serve verdict: {}", verdict(pass));
-    if !pass {
-        std::process::exit(1);
+/// What the serving run is gated on.
+struct Measured {
+    broken: u64,
+    answered: u64,
+    total: u64,
+    shed_ok: bool,
+    drained: bool,
+}
+
+/// The three load-management contracts: every request answered, a full
+/// queue sheds with a structured `overloaded`, and shutdown drains.
+fn gates(m: &Measured) -> Vec<Gate> {
+    vec![
+        Gate::new("outcomes.broken", m.broken as f64, Op::Eq, 0.0),
+        Gate::new("outcomes.answered", m.answered as f64, Op::Eq, m.total as f64),
+        Gate::flag("overload_probe.sheds", m.shed_ok),
+        Gate::flag("shutdown.drained", m.drained),
+    ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn answered_shed_and_drained_are_gated() {
+        let m = Measured { broken: 0, answered: 48, total: 48, shed_ok: true, drained: true };
+        let specs: Vec<(String, Op, f64)> =
+            gates(&m).into_iter().map(|g| (g.name, g.op, g.bound)).collect();
+        let want = [
+            ("outcomes.broken", Op::Eq, 0.0),
+            ("outcomes.answered", Op::Eq, 48.0),
+            ("overload_probe.sheds", Op::Eq, 1.0),
+            ("shutdown.drained", Op::Eq, 1.0),
+        ];
+        let want: Vec<(String, Op, f64)> =
+            want.iter().map(|&(n, op, b)| (n.to_string(), op, b)).collect();
+        assert_eq!(specs, want);
+        assert!(gates(&m).iter().all(Gate::holds));
+        let failing = |m: Measured| gates(&m).into_iter().filter(|g| !g.holds()).count();
+        assert_eq!(failing(Measured { broken: 1, answered: 47, ..m }), 2);
+        assert_eq!(failing(Measured { shed_ok: false, ..m }), 1);
+        assert_eq!(failing(Measured { drained: false, ..m }), 1);
     }
 }

@@ -17,11 +17,11 @@
 //! | `fig_misalignment` | Fig. 5 context — power vs lateral patch offset |
 //! | `tab_ablations` | design-rule ablations (A1–A5 in DESIGN.md) |
 //!
-//! The Criterion benches in `benches/` measure the computational cost of
-//! the substrate (transient steps, conversions, filament sums) rather
-//! than reproducing paper numbers.
+//! The `bench_*` binaries measure the system rather than the paper: each
+//! writes one [`Record`] (schema [`SCHEMA`]) whose [`Gate`]s decide both
+//! its own exit code and `bench_validate`'s verdict on the artifact.
 
-use runtime::{Artifact, Json, ResultCache};
+use runtime::{Artifact, Json, LatencyHistogram, ResultCache};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -116,7 +116,7 @@ pub fn stage_rows() -> Vec<StageRow> {
 }
 
 /// Renders stage rows as the `stages` object of a `BENCH_*.json`.
-pub fn stages_json(rows: &[StageRow]) -> Json {
+fn stages_json(rows: &[StageRow]) -> Json {
     Json::Obj(
         rows.iter()
             .map(|r| {
@@ -164,30 +164,196 @@ pub fn profile_table(rows: &[StageRow]) -> String {
     out
 }
 
-/// Renders a latency histogram as `{p50_us, p95_us, p99_us}`.
-pub fn latency_json(hist: &runtime::LatencyHistogram) -> Json {
-    Json::obj(vec![
-        ("p50_us", Json::Num(duration_us(hist.p50()))),
-        ("p95_us", Json::Num(duration_us(hist.p95()))),
-        ("p99_us", Json::Num(duration_us(hist.p99()))),
-    ])
+/// The schema every bench artifact (`BENCH_*.json`) declares.
+pub const SCHEMA: &str = "implant-bench/1";
+
+/// How a [`Gate`] compares its value with its bound.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Op {
+    /// `>=`
+    Ge,
+    /// `>`
+    Gt,
+    /// `<=`
+    Le,
+    /// `<`
+    Lt,
+    /// `==`
+    Eq,
 }
 
-/// Writes a bench artifact, refusing to emit non-finite numbers (the
-/// validator would reject the file anyway; failing at the source names
-/// the culprit).
-///
-/// # Panics
-///
-/// Panics if `doc` contains a non-finite number or the file cannot be
-/// written.
-pub fn write_bench_json(path: &str, doc: &Json) {
-    if let Some(bad) = doc.non_finite_path() {
-        panic!("refusing to write {path}: non-finite number at {bad}");
+impl Op {
+    /// Every comparison an artifact may name.
+    pub const ALL: [Op; 5] = [Op::Ge, Op::Gt, Op::Le, Op::Lt, Op::Eq];
+
+    /// The artifact spelling.
+    pub fn symbol(self) -> &'static str {
+        match self {
+            Op::Ge => ">=",
+            Op::Gt => ">",
+            Op::Le => "<=",
+            Op::Lt => "<",
+            Op::Eq => "==",
+        }
     }
-    std::fs::write(path, format!("{doc}\n"))
-        .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("wrote {path}");
+
+    /// Reads the artifact spelling back.
+    pub fn parse(symbol: &str) -> Option<Op> {
+        Op::ALL.into_iter().find(|op| op.symbol() == symbol)
+    }
+}
+
+/// One pass/fail contract of a bench run: `value op bound`. A check
+/// with no single number (the overload probe, a graceful drain) is a
+/// 0/1 [`Gate::flag`] held `== 1`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Gate {
+    /// What is checked, in the metrics' dotted naming.
+    pub name: String,
+    /// The measured value.
+    pub value: f64,
+    /// The comparison.
+    pub op: Op,
+    /// The value it is compared with.
+    pub bound: f64,
+}
+
+impl Gate {
+    /// A gate `value op bound`.
+    pub fn new(name: impl Into<String>, value: f64, op: Op, bound: f64) -> Gate {
+        Gate { name: name.into(), value, op, bound }
+    }
+
+    /// A check with no single number: 1 when it passed, held `== 1`.
+    pub fn flag(name: impl Into<String>, ok: bool) -> Gate {
+        Gate::new(name, if ok { 1.0 } else { 0.0 }, Op::Eq, 1.0)
+    }
+
+    /// Whether `value op bound` holds; a non-finite operand never does.
+    /// A bench binary's exit code and `bench_validate` both decide with
+    /// this, so a gate is written once.
+    pub fn holds(&self) -> bool {
+        let (v, b) = (self.value, self.bound);
+        v.is_finite()
+            && b.is_finite()
+            && match self.op {
+                Op::Ge => v >= b,
+                Op::Gt => v > b,
+                Op::Le => v <= b,
+                Op::Lt => v < b,
+                Op::Eq => v == b,
+            }
+    }
+
+    /// The artifact form, `{name, value, op, bound}`.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("name", Json::Str(self.name.clone())),
+            ("value", Json::Num(self.value)),
+            ("op", Json::Str(self.op.symbol().to_string())),
+            ("bound", Json::Num(self.bound)),
+        ])
+    }
+
+    /// Reads a gate back from its artifact form.
+    ///
+    /// # Errors
+    ///
+    /// Names the first missing or ill-typed field.
+    pub fn from_json(json: &Json) -> Result<Gate, String> {
+        let name = json.get("name").and_then(Json::as_str).ok_or("gate without a name")?;
+        let num = |key: &str| {
+            json.get(key)
+                .and_then(Json::as_f64)
+                .ok_or_else(|| format!("gate {name:?} has no numeric {key}"))
+        };
+        let op = json
+            .get("op")
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("gate {name:?} has no op"))?;
+        let op = Op::parse(op).ok_or_else(|| format!("gate {name:?} has unknown op {op:?}"))?;
+        Ok(Gate::new(name, num("value")?, op, num("bound")?))
+    }
+}
+
+impl std::fmt::Display for Gate {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} = {} (want {} {})", self.name, self.value, self.op.symbol(), self.bound)
+    }
+}
+
+/// One bench run's artifact: the binary's name, its config, a flat map
+/// of finite metrics, the stage table and the gates.
+pub struct Record {
+    bench: &'static str,
+    config: Vec<(&'static str, f64)>,
+    metrics: Vec<(String, f64)>,
+}
+
+impl Record {
+    /// An empty record of binary `bench` run with `config`.
+    pub fn new(bench: &'static str, config: Vec<(&'static str, f64)>) -> Record {
+        Record { bench, config, metrics: Vec::new() }
+    }
+
+    /// Adds one metric.
+    pub fn metric(&mut self, name: impl Into<String>, value: f64) {
+        self.metrics.push((name.into(), value));
+    }
+
+    /// Adds `{prefix}.count` and the histogram's p50/p95/p99 in
+    /// microseconds (`{prefix}.p50_us`, …).
+    pub fn latency(&mut self, prefix: &str, hist: &LatencyHistogram) {
+        self.metric(format!("{prefix}.count"), hist.count() as f64);
+        for (q, d) in [("p50_us", hist.p50()), ("p95_us", hist.p95()), ("p99_us", hist.p99())] {
+            self.metric(format!("{prefix}.{q}"), duration_us(d));
+        }
+    }
+
+    /// The `implant-bench/1` document.
+    pub fn to_json(&self, stages: &[StageRow], gates: &[Gate]) -> Json {
+        let config = self.config.iter().map(|(k, v)| (k.to_string(), Json::Num(*v)));
+        let metrics = self.metrics.iter().map(|(k, v)| (k.clone(), Json::Num(*v)));
+        Json::obj(vec![
+            ("schema", Json::Str(SCHEMA.to_string())),
+            ("bench", Json::Str(self.bench.to_string())),
+            ("config", Json::Obj(config.collect())),
+            ("metrics", Json::Obj(metrics.collect())),
+            ("stages", stages_json(stages)),
+            ("gates", Json::Arr(gates.iter().map(Gate::to_json).collect())),
+        ])
+    }
+
+    /// Ends a bench run: prints every gate with its verdict, writes the
+    /// artifact to `json_path` when given, and exits 1 when any gate
+    /// fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the artifact holds a non-finite number (the validator
+    /// would reject it; failing here names the culprit) or cannot be
+    /// written.
+    pub fn finish(&self, stages: &[StageRow], gates: &[Gate], json_path: Option<&str>) {
+        println!();
+        println!("gates:");
+        for gate in gates {
+            println!("  {gate} … {}", verdict(gate.holds()));
+        }
+        if let Some(path) = json_path {
+            let doc = self.to_json(stages, gates);
+            if let Some(bad) = doc.non_finite_path() {
+                panic!("refusing to write {path}: non-finite number at {bad}");
+            }
+            std::fs::write(path, format!("{doc}\n"))
+                .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+            println!("wrote {path}");
+        }
+        let pass = gates.iter().all(Gate::holds);
+        println!("{} verdict: {}", self.bench, verdict(pass));
+        if !pass {
+            std::process::exit(1);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -221,15 +387,38 @@ mod tests {
     }
 
     #[test]
-    fn latency_json_carries_finite_percentiles() {
-        let mut hist = runtime::LatencyHistogram::new();
+    fn record_flattens_latency_and_round_trips_its_gates() {
+        let mut hist = LatencyHistogram::new();
         hist.record(Duration::from_micros(100));
         hist.record(Duration::from_micros(400));
-        let json = latency_json(&hist);
-        for key in ["p50_us", "p95_us", "p99_us"] {
-            let v = json.get(key).and_then(Json::as_f64).expect(key);
+        let mut record = Record::new("bench_test", vec![("repeats", 2.0)]);
+        record.latency("fig11", &hist);
+        let gates = [Gate::new("fig11.count", 2.0, Op::Ge, 1.0), Gate::flag("drained", false)];
+        let doc = record.to_json(&[], &gates);
+        assert_eq!(doc.get("schema").and_then(Json::as_str), Some(SCHEMA));
+        let metrics = doc.get("metrics").expect("metrics");
+        assert_eq!(metrics.get("fig11.count").and_then(Json::as_f64), Some(2.0));
+        for key in ["fig11.p50_us", "fig11.p95_us", "fig11.p99_us"] {
+            let v = metrics.get(key).and_then(Json::as_f64).expect(key);
             assert!(v.is_finite() && v > 0.0, "{key} = {v}");
         }
-        assert_eq!(json.non_finite_path(), None);
+        let back: Vec<Gate> = doc
+            .get("gates")
+            .and_then(Json::as_arr)
+            .expect("gates")
+            .iter()
+            .map(|g| Gate::from_json(g).expect("well formed"))
+            .collect();
+        assert_eq!(back, gates);
+        assert!(back[0].holds() && !back[1].holds());
+    }
+
+    #[test]
+    fn a_non_finite_operand_never_holds() {
+        for op in Op::ALL {
+            assert_eq!(Op::parse(op.symbol()), Some(op));
+            assert!(!Gate::new("g", f64::NAN, op, 1.0).holds(), "{op:?}");
+            assert!(!Gate::new("g", 1.0, op, f64::INFINITY).holds(), "{op:?}");
+        }
     }
 }

@@ -54,6 +54,11 @@ pub const MALFORMED: &str = "_malformed";
 /// Pseudo-endpoint name idle-timeout closes are accounted under.
 pub const IDLE: &str = "_idle";
 
+/// Pseudo-endpoint name requests for an endpoint the server does not
+/// serve are accounted under: the metrics table is keyed by endpoint,
+/// and a client must not grow it with names of its own choosing.
+pub const UNKNOWN: &str = "_unknown";
+
 /// One bounded read: a complete line, an oversized line (consumed up to
 /// its newline so the stream stays framed), or end-of-stream.
 pub enum LineRead {
@@ -181,7 +186,11 @@ fn dispatch(request: Request, shared: &Arc<Shared>) -> LineAction {
     let body = match body {
         Ok(body) => body,
         Err(err) => {
-            shared.metrics.record_error(&request.endpoint, err.code);
+            let bucket = match err.code {
+                ErrorCode::UnknownEndpoint => UNKNOWN,
+                _ => &request.endpoint,
+            };
+            shared.metrics.record_error(bucket, err.code);
             return LineAction::Inline(decode_err_response(request.id, &err));
         }
     };

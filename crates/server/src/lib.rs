@@ -618,6 +618,30 @@ mod tests {
     }
 
     #[test]
+    fn unknown_endpoints_share_one_metrics_bucket() {
+        let handle = Server::spawn(ServerConfig::default()).unwrap();
+        let (mut conn, mut reader) = connect(&handle);
+        let names: Vec<String> = (0..50).map(|i| format!("probe_{i}")).collect();
+        for (id, name) in names.iter().enumerate() {
+            let line = format!(r#"{{"id":{id},"endpoint":"{name}"}}"#);
+            let doc = request(&mut conn, &mut reader, &line);
+            let code = doc.get("error").and_then(|e| e.get("code")).and_then(Json::as_str);
+            assert_eq!(code, Some("unknown_endpoint"));
+        }
+        let metrics = request(&mut conn, &mut reader, r#"{"id":99,"endpoint":"metrics"}"#);
+        let endpoints = metrics.get("result").and_then(|r| r.get("endpoints")).expect("endpoints");
+        let Json::Obj(entries) = endpoints else { panic!("endpoints is an object: {endpoints}") };
+        let unknown: Vec<&Json> =
+            entries.iter().filter(|(name, _)| name == conn::UNKNOWN).map(|(_, s)| s).collect();
+        assert_eq!(unknown.len(), 1, "one bucket: {endpoints}");
+        assert_eq!(unknown[0].get("errors").and_then(Json::as_u64), Some(50));
+        assert!(entries.iter().all(|(name, _)| !names.contains(name)), "{endpoints}");
+        handle.shutdown();
+        drop(conn);
+        handle.join();
+    }
+
+    #[test]
     fn unknown_endpoint_and_malformed_lines_answer_inline() {
         let handle = Server::spawn(ServerConfig::default()).unwrap();
         let (mut conn, mut reader) = connect(&handle);

@@ -1,16 +1,17 @@
 #!/usr/bin/env bash
-# Benchmark harness: runs the serving benchmark and the kernel
-# microbenchmarks with profiling enabled, writes machine-readable
-# artifacts, and validates them.
+# Benchmark harness: runs the serving, fan-in, kernel and cluster
+# benchmarks with profiling enabled, writes machine-readable artifacts,
+# and validates them.
 #
-#   scripts/bench.sh           # full run: BENCH_serve + BENCH_fanin + BENCH_kernels + BENCH_cluster + BENCH_scenario
+#   scripts/bench.sh           # full run: BENCH_serve + BENCH_fanin + BENCH_kernels + BENCH_cluster
 #   scripts/bench.sh --smoke   # small sizes, same artifacts — the CI lane
 #
-# Artifacts land in the repo root (override with BENCH_DIR). Each file
-# declares its schema (`implant-bench-serve/1`, `implant-bench-fanin/1`,
-# `implant-bench-kernels/1`, `implant-bench-cluster/1`,
-# `implant-bench-scenario/1`) and is checked by `bench_validate`: missing
-# fields, empty stage breakdowns, or non-finite numbers fail the run.
+# Artifacts land in the repo root (override with BENCH_DIR). Every file
+# is one `implant-bench/1` record — bench name, config, a flat metrics
+# map, the per-stage table and the run's gates — and `bench_validate`
+# checks them all with one generic pass: non-finite numbers, an empty
+# stage table, a malformed gate or a gate that does not hold fails the
+# run. Each benchmark also exits non-zero on its own failing gate.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -25,7 +26,6 @@ SERVE_JSON="$BENCH_DIR/BENCH_serve.json"
 FANIN_JSON="$BENCH_DIR/BENCH_fanin.json"
 KERNELS_JSON="$BENCH_DIR/BENCH_kernels.json"
 CLUSTER_JSON="$BENCH_DIR/BENCH_cluster.json"
-SCENARIO_JSON="$BENCH_DIR/BENCH_scenario.json"
 
 SERVE_ARGS=(--connections 4 --requests 25 --mc-trials 200)
 # bench_fanin caps its idle soak to the process fd budget, so asking
@@ -35,13 +35,11 @@ KERNEL_ARGS=()
 # --warm adds the post-kill repeat-read comparison (no store vs shared
 # store + hedged reads) to BENCH_cluster.json's `warm` object.
 CLUSTER_ARGS=(--connections 4 --requests 30 --mc-trials 150 --warm)
-SCENARIO_ARGS=(--repeats 3 --patients 30)
 if [[ "${1:-}" == "--smoke" ]]; then
     SERVE_ARGS=(--connections 2 --requests 8 --mc-trials 50)
     FANIN_ARGS=(--connections 500 --drivers 8 --requests 15 --mc-trials 40)
     KERNEL_ARGS=(--smoke)
     CLUSTER_ARGS=(--smoke --warm)
-    SCENARIO_ARGS=(--smoke)
 fi
 
 echo "==> building benchmark binaries"
@@ -59,10 +57,7 @@ echo "==> kernel benchmark -> $KERNELS_JSON"
 echo "==> cluster benchmark -> $CLUSTER_JSON"
 ./target/release/bench_cluster "${CLUSTER_ARGS[@]}" --json "$CLUSTER_JSON"
 
-echo "==> scenario benchmark -> $SCENARIO_JSON"
-./target/release/bench_scenario "${SCENARIO_ARGS[@]}" --profile --json "$SCENARIO_JSON"
-
 echo "==> validating artifacts"
-./target/release/bench_validate "$SERVE_JSON" "$FANIN_JSON" "$KERNELS_JSON" "$CLUSTER_JSON" "$SCENARIO_JSON"
+./target/release/bench_validate "$SERVE_JSON" "$FANIN_JSON" "$KERNELS_JSON" "$CLUSTER_JSON"
 
-echo "bench: OK ($SERVE_JSON, $FANIN_JSON, $KERNELS_JSON, $CLUSTER_JSON, $SCENARIO_JSON)"
+echo "bench: OK ($SERVE_JSON, $FANIN_JSON, $KERNELS_JSON, $CLUSTER_JSON)"

@@ -4,19 +4,19 @@
 #   scripts/verify.sh          # build + test + clippy + serve + kernels + testkit + perfbench
 #   scripts/verify.sh --fuzz   # additionally run the property-test suites
 #
-# Everything resolves from in-tree path dependencies (crates/proptest and
-# crates/criterion stand in for their crates.io namesakes), so the
-# offline flag below is a guarantee, not an inconvenience.
+# Everything resolves from in-tree path dependencies (crates/proptest
+# stands in for its crates.io namesake), so the offline flag below is a
+# guarantee, not an inconvenience.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
-# The workspace currently runs 842 tests; a sharp drop means suites
+# The workspace currently runs 838 tests; a sharp drop means suites
 # silently fell out of the build (feature gate, dead test file, a
 # `#[cfg]` typo), which a plain exit code would never catch.
-MIN_TESTS=842
+MIN_TESTS=838
 
 TEST_LOG="$(mktemp)"
 trap 'rm -f "$TEST_LOG"' EXIT
@@ -87,9 +87,10 @@ lane scenario-w8 env IMPLANT_WORKERS=8 cargo test -q -p implant-scenario
 # the compiled engine against the dense reference on random RLC+diode
 # netlists and the golden circuits; the bench smoke then times the
 # fig11 transient on all three engines (dense reference, compiled
-# monolithic, partitioned cosim), and bench_validate holds the
-# artifact's `compiled.fig11_speedup` to the ≥5× floor and
-# `compiled.cosim_speedup` to the ≥3× floor.
+# monolithic, partitioned cosim) and exits non-zero when a gate fails:
+# `compiled.fig11_speedup` ≥ 5, `compiled.cosim_speedup` ≥ 3,
+# `compiled.fullchain_warm_speedup` > 1. The gate lane then recomputes
+# every gate from the artifact with the generic bench_validate.
 lane kernels-equiv cargo test -q -p analog --features fuzz --test equivalence
 KERNELS_JSON="$(mktemp -d)/BENCH_kernels.json"
 lane kernels-bench env IMPLANT_OBS=1 \
@@ -97,9 +98,9 @@ lane kernels-bench env IMPLANT_OBS=1 \
 lane kernels-gate ./target/release/bench_validate "$KERNELS_JSON"
 
 # Bench lane: the profiling harness must produce valid machine-readable
-# artifacts — scripts/bench.sh runs both benchmarks at smoke sizes and
-# bench_validate rejects missing fields, empty stage breakdowns, and
-# non-finite numbers.
+# artifacts — scripts/bench.sh runs the four benchmarks at smoke sizes
+# and bench_validate rejects non-finite numbers, a foreign schema, empty
+# stage breakdowns, and malformed or failing gates.
 lane bench env BENCH_DIR="$(mktemp -d)" ./scripts/bench.sh --smoke
 
 # Perfbench lane: the end-to-end benchmark (its own workspace under
