@@ -6,9 +6,9 @@
 //! received-power distance sweep, one misaligned coil-pair solve, a
 //! 1 h sensing patient day, one full seeded patient day and a serial
 //! cohort of virtual patients — without any socket or queue in the way.
-//! Together with `bench_serve` this separates *model cost* from
-//! *serving cost*: if `BENCH_serve.json` shows p95 regressions that
-//! `BENCH_kernels.json` doesn't, the serving layer is to blame.
+//! Together with perfbench's served workloads this separates *model
+//! cost* from *serving cost*: a perfbench latency regression that
+//! `BENCH_kernels.json` does not show lies in the serving layer.
 //!
 //! Each kernel runs `--repeats` times into its `<kernel>.*` latency
 //! metrics; the per-phase breakdown (`fig11.build` / `fig11.transient`

@@ -203,9 +203,7 @@ impl Op {
     }
 }
 
-/// One pass/fail contract of a bench run: `value op bound`. A check
-/// with no single number (the overload probe, a graceful drain) is a
-/// 0/1 [`Gate::flag`] held `== 1`.
+/// One pass/fail contract of a bench run: `value op bound`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Gate {
     /// What is checked, in the metrics' dotted naming.
@@ -222,11 +220,6 @@ impl Gate {
     /// A gate `value op bound`.
     pub fn new(name: impl Into<String>, value: f64, op: Op, bound: f64) -> Gate {
         Gate { name: name.into(), value, op, bound }
-    }
-
-    /// A check with no single number: 1 when it passed, held `== 1`.
-    pub fn flag(name: impl Into<String>, ok: bool) -> Gate {
-        Gate::new(name, if ok { 1.0 } else { 0.0 }, Op::Eq, 1.0)
     }
 
     /// Whether `value op bound` holds; a non-finite operand never does.
@@ -393,7 +386,8 @@ mod tests {
         hist.record(Duration::from_micros(400));
         let mut record = Record::new("bench_test", vec![("repeats", 2.0)]);
         record.latency("fig11", &hist);
-        let gates = [Gate::new("fig11.count", 2.0, Op::Ge, 1.0), Gate::flag("drained", false)];
+        let gates =
+            [Gate::new("fig11.count", 2.0, Op::Ge, 1.0), Gate::new("kill.lost", 3.0, Op::Eq, 0.0)];
         let doc = record.to_json(&[], &gates);
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(SCHEMA));
         let metrics = doc.get("metrics").expect("metrics");

@@ -16,7 +16,7 @@
 //!   `runtime::metrics`; the runtime re-exports it).
 //! * **Exposition** — [`prometheus_text`] renders the registry in the
 //!   Prometheus text format; the server's `metrics_v2` endpoint serves
-//!   it, and `bench_serve --profile` prints the same data as a table.
+//!   it, and `bench_kernels --profile` prints the same data as a table.
 //!
 //! **Overhead contract**: with `IMPLANT_OBS=0` (or [`set_enabled`]
 //! `(false)`) a span costs one relaxed atomic load and no clock read —

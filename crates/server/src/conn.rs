@@ -39,7 +39,6 @@ use crate::queue::PushError;
 use crate::router::RouteError;
 use crate::{Job, Shared};
 use runtime::{Flight, Json};
-use std::io::{self, BufRead};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -58,59 +57,6 @@ pub const IDLE: &str = "_idle";
 /// serve are accounted under: the metrics table is keyed by endpoint,
 /// and a client must not grow it with names of its own choosing.
 pub const UNKNOWN: &str = "_unknown";
-
-/// One bounded read: a complete line, an oversized line (consumed up to
-/// its newline so the stream stays framed), or end-of-stream.
-pub enum LineRead {
-    /// A complete line (newline stripped).
-    Line(Vec<u8>),
-    /// The line exceeded [`MAX_LINE`]; it was drained, not buffered.
-    TooLong,
-    /// End of stream.
-    Eof,
-}
-
-/// Reads up to the next `\n`, refusing to buffer more than [`MAX_LINE`]
-/// bytes. An oversized line is drained (discarded) through its newline,
-/// so the connection can keep serving subsequent requests. Public so
-/// other line-protocol frontends (the cluster proxy) share the bound.
-///
-/// # Errors
-///
-/// Propagates the underlying read error (including timeouts when the
-/// stream carries one).
-pub fn read_bounded_line(reader: &mut impl BufRead) -> io::Result<LineRead> {
-    let mut line = Vec::new();
-    let mut overflowed = false;
-    loop {
-        let available = reader.fill_buf()?;
-        if available.is_empty() {
-            // EOF mid-line: nothing useful can follow a partial frame.
-            return Ok(LineRead::Eof);
-        }
-        match available.iter().position(|&b| b == b'\n') {
-            Some(newline) => {
-                if !overflowed && line.len() + newline <= MAX_LINE {
-                    line.extend_from_slice(&available[..newline]);
-                } else {
-                    overflowed = true;
-                }
-                reader.consume(newline + 1);
-                return Ok(if overflowed { LineRead::TooLong } else { LineRead::Line(line) });
-            }
-            None => {
-                let n = available.len();
-                if !overflowed && line.len() + n <= MAX_LINE {
-                    line.extend_from_slice(available);
-                } else {
-                    overflowed = true;
-                    line.clear();
-                }
-                reader.consume(n);
-            }
-        }
-    }
-}
 
 /// The server's protocol as a poller-driven service: one [`Shared`]
 /// behind every connection, no per-connection thread or state beyond
@@ -336,52 +282,4 @@ fn abort_flight(shared: &Arc<Shared>, job: &Job, code: ErrorCode, message: &str)
         Duration::ZERO,
     );
     shared.wake_pollers();
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bounded_reader_frames_and_bounds() {
-        let mut input = io::Cursor::new(b"short\n".to_vec());
-        match read_bounded_line(&mut input).unwrap() {
-            LineRead::Line(l) => assert_eq!(l, b"short"),
-            _ => panic!("expected a line"),
-        }
-        match read_bounded_line(&mut input).unwrap() {
-            LineRead::Eof => {}
-            _ => panic!("expected EOF"),
-        }
-    }
-
-    #[test]
-    fn oversized_line_is_drained_not_buffered() {
-        let mut data = vec![b'x'; MAX_LINE + 10];
-        data.push(b'\n');
-        data.extend_from_slice(b"after\n");
-        let mut input = io::Cursor::new(data);
-        assert!(matches!(read_bounded_line(&mut input).unwrap(), LineRead::TooLong));
-        match read_bounded_line(&mut input).unwrap() {
-            LineRead::Line(l) => assert_eq!(l, b"after", "framing survives the overflow"),
-            _ => panic!("expected the next line"),
-        }
-    }
-
-    #[test]
-    fn exact_cap_is_still_accepted() {
-        let mut data = vec![b'y'; MAX_LINE];
-        data.push(b'\n');
-        let mut input = io::Cursor::new(data);
-        match read_bounded_line(&mut input).unwrap() {
-            LineRead::Line(l) => assert_eq!(l.len(), MAX_LINE),
-            _ => panic!("a line of exactly MAX_LINE bytes is valid"),
-        }
-    }
-
-    #[test]
-    fn partial_trailing_line_is_eof() {
-        let mut input = io::Cursor::new(b"no newline".to_vec());
-        assert!(matches!(read_bounded_line(&mut input).unwrap(), LineRead::Eof));
-    }
 }

@@ -4,9 +4,10 @@
 //!
 //! The crate forbids `unsafe`, so there is no `epoll` here. Each poller
 //! owns a set of nonblocking sockets and sweeps them: buffered bytes
-//! are framed into lines (same 64 KiB bound as
-//! [`read_bounded_line`](crate::conn::read_bounded_line)), complete
-//! lines go to a [`LineService`], and responses are flushed without
+//! are framed into lines of at most [`MAX_LINE`] bytes (64 KiB; a
+//! longer line is drained through its newline and answered with
+//! [`LineService::oversized_line`]), complete lines go to a
+//! [`LineService`], and responses are flushed without
 //! blocking. A connection that keeps yielding `WouldBlock` is polled on
 //! an exponential per-connection backoff (500 µs doubling to 256 ms),
 //! so one poller holds thousands of idle sockets at a few percent CPU.
@@ -594,9 +595,19 @@ mod tests {
         reader.read_line(&mut line).unwrap();
         assert_eq!(line.trim_end(), "HELLO POLLER");
 
-        // An oversized line is drained and answered; the next request
-        // on the same connection still works (framing intact).
-        let mut big = vec![b'x'; MAX_LINE + 7];
+        // The bound is inclusive: a line of exactly MAX_LINE bytes is
+        // delivered ...
+        let mut exact = vec![b'y'; MAX_LINE];
+        exact.push(b'\n');
+        conn.write_all(&exact).unwrap();
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(line.trim_end(), "Y".repeat(MAX_LINE));
+
+        // ... one byte more is oversized: drained and answered, and the
+        // next request on the same connection still works (framing
+        // intact).
+        let mut big = vec![b'x'; MAX_LINE + 1];
         big.push(b'\n');
         big.extend_from_slice(b"after\n");
         conn.write_all(&big).unwrap();

@@ -35,6 +35,7 @@
 //! ```
 
 use crate::endpoint::CachedEndpoint;
+use implant_core::montecarlo::VariationModel;
 use runtime::Json;
 
 /// Current protocol version. Bump when the wire shape gains
@@ -323,7 +324,8 @@ impl FullchainParams {
 /// Typed parameters of the `montecarlo` endpoint.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MontecarloParams {
-    /// Mismatch scale applied to the typical variation model.
+    /// Mismatch scale applied to the typical variation model, in
+    /// `[0, 10)`: from 10 on its ±10 % passives can draw R or C ≤ 0.
     pub scale: f64,
     /// Trial count (capped by [`DecodeLimits::mc_trial_cap`]).
     pub trials: u64,
@@ -339,8 +341,19 @@ impl MontecarloParams {
     /// A field-naming [`DecodeError`] on any mistyped or out-of-range
     /// parameter (including a `trials` beyond the server's cap).
     pub fn decode(params: &Json, limits: &DecodeLimits) -> Result<Self, DecodeError> {
+        // The typical model's passives draw `1 ± tol·scale` (uniform), so
+        // from `1 / tol` on a trial can draw a non-positive R or C.
+        let typical = VariationModel::typical_018um();
+        let limit = 1.0 / typical.capacitor_tolerance.max(typical.resistance_tolerance);
+        let scale = opt_f64(params, "scale", 0.0, limit)?.unwrap_or(1.0);
+        if scale >= limit {
+            return Err(DecodeError::bad(
+                "scale",
+                format!("\"scale\" = {scale} must stay below {limit} (non-positive R or C draws)"),
+            ));
+        }
         Ok(MontecarloParams {
-            scale: opt_f64(params, "scale", 0.0, 16.0)?.unwrap_or(1.0),
+            scale,
             trials: opt_u64(params, "trials", 1, limits.mc_trial_cap)?.unwrap_or(1000),
             seed: opt_u64(params, "seed", 0, u64::MAX)?,
         })
@@ -1103,6 +1116,8 @@ mod tests {
             ("sweep", r#"{"medium":"vacuum"}"#, "medium"),
             ("sweep", r#"{"d_min_mm":20,"d_max_mm":2}"#, "d_max_mm"),
             ("montecarlo", r#"{"scale":"x"}"#, "scale"),
+            ("montecarlo", r#"{"scale":10}"#, "scale"),
+            ("montecarlo", r#"{"scale":16}"#, "scale"),
             ("montecarlo", r#"{"trials":0}"#, "trials"),
             ("fig11", r#"{"preset":"weird"}"#, "preset"),
             ("fig11", r#"{"max_step_ns":0.1}"#, "max_step_ns"),
@@ -1125,6 +1140,10 @@ mod tests {
         let err = RequestBody::decode("nope", &Json::Obj(Vec::new()), &limits).unwrap_err();
         assert_eq!(err.code, ErrorCode::UnknownEndpoint);
         assert_eq!(err.field.as_deref(), Some("endpoint"));
+        // Just below the positive-passives bound still decodes.
+        let p = MontecarloParams::decode(&Json::parse(r#"{"scale":9.99}"#).unwrap(), &limits)
+            .expect("9.99 is below the bound");
+        assert_eq!(p.scale, 9.99);
     }
 
     #[test]

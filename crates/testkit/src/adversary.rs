@@ -192,25 +192,6 @@ pub fn capped_connections(want: usize) -> usize {
     want.min(soft.saturating_sub(1024) / 2)
 }
 
-/// The process's live thread count (`Threads:` in `/proc/self/status`).
-/// The poller front-end's core claim — threads track in-flight work,
-/// not open sockets — is asserted with this before and after a storm
-/// by a process that runs nothing else meanwhile (`bench_fanin`); tests
-/// sharing a process use `ServerHandle::threads` instead.
-///
-/// # Panics
-///
-/// If `/proc/self/status` is missing or carries no `Threads:` line
-/// (the fan-in battery is Linux-only, like the fd-budget probe).
-pub fn process_threads() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status");
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|n| n.trim().parse().ok())
-        .expect("Threads: line")
-}
-
 /// Fans `n` connection setups over a few client threads: on a loaded
 /// (or single-core) host each blocking `connect` pays a scheduler
 /// wakeup, and overlapping them is the difference between seconds and
@@ -311,34 +292,6 @@ mod tests {
         assert!(ceiling < usize::MAX);
         assert_eq!(capped_connections(usize::MAX), ceiling);
         assert_eq!(capped_connections(0), 0);
-    }
-
-    #[test]
-    fn process_threads_sees_spawned_threads() {
-        // Tests running beside this one spawn and reap up to 8 client
-        // threads at a time, so park more than that: their exits cannot
-        // hide these spawns.
-        const PARKED: usize = 32;
-        let before = process_threads();
-        assert!(before >= 1, "at least this thread is running");
-        let (tx, rx) = std::sync::mpsc::channel::<()>();
-        let rx = std::sync::Arc::new(std::sync::Mutex::new(rx));
-        let parked: Vec<_> = (0..PARKED)
-            .map(|_| {
-                let rx = std::sync::Arc::clone(&rx);
-                std::thread::spawn(move || rx.lock().expect("unpark lock").recv().unwrap_or(()))
-            })
-            .collect();
-        // The counter must move with real thread lifecycle events —
-        // that is what the fan-in lane's flatness assertion rests on.
-        let during = process_threads();
-        assert!(during > before, "spawned threads not counted: {before} -> {during}");
-        for _ in 0..PARKED {
-            tx.send(()).expect("unpark");
-        }
-        for thread in parked {
-            thread.join().expect("parked thread");
-        }
     }
 
     #[test]

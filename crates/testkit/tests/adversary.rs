@@ -2,7 +2,10 @@
 //! input must only ever produce structured errors, never take the
 //! server down, and shutdown must drain in-flight work.
 
+use runtime::Json;
+use server::client::Client;
 use server::{Server, ServerConfig};
+use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -179,4 +182,91 @@ fn mid_poll_disconnect_storm_leaves_the_server_healthy() {
     let ack = client.rpc(r#"{"id":4,"endpoint":"shutdown"}"#).expect("shutdown acks");
     assert_eq!(ack.get("ok"), Some(&runtime::Json::Bool(true)));
     handle.join();
+}
+
+/// Monte Carlo seed of request `i` from driver `d` in the fan-in
+/// schedule: 90 % of the slots ask for one of 4 hot points shared by
+/// every driver, the rest for a point unique to the slot.
+fn fan_in_seed(d: usize, i: usize) -> u64 {
+    if (d * 31 + i * 7) % 100 < 90 {
+        1_000 + ((d + i) % 4) as u64
+    } else {
+        1_000_000 + (d as u64) * 1_000_000 + i as u64
+    }
+}
+
+/// The single-flight collapse ledger under fan-in: 8 drivers push a
+/// 90 %-duplicate Monte Carlo schedule through 500 parked idle
+/// connections, and the server's own per-endpoint metrics must show
+/// one execution per distinct point, every duplicate a hit (collapsed
+/// onto a live flight or replayed from cache), nothing shed, nothing
+/// expired — then a clean drain with the crowd still parked. The ledger
+/// belongs to this server, so tests running beside it cannot move it.
+#[test]
+fn a_duplicate_heavy_fan_in_through_an_idle_crowd_executes_each_point_once() {
+    const DRIVERS: usize = 8;
+    const REQUESTS: usize = 15;
+    const TRIALS: f64 = 40.0;
+    let plans: Vec<Vec<u64>> = (0..DRIVERS)
+        .map(|d| (0..REQUESTS).map(|i| fan_in_seed(d, i)).collect())
+        .collect();
+    let total = (DRIVERS * REQUESTS) as u64;
+    let unique = plans.iter().flatten().collect::<BTreeSet<_>>().len() as u64;
+    assert!(unique < total / 2, "the schedule must be duplicate-heavy: {unique} of {total}");
+
+    // Headroom so the ledger is exact: no point may be shed at the
+    // queue or recomputed after a cache eviction.
+    let handle = Server::spawn(ServerConfig {
+        workers: 2,
+        pollers: 2,
+        queue_capacity: (DRIVERS * 2).max(64),
+        cache_capacity: 1024,
+        ..ServerConfig::default()
+    })
+    .expect("ephemeral bind");
+    let addr = handle.addr();
+    let crowd = idle_soak(addr, capped_connections(500));
+
+    let drivers: Vec<_> = plans
+        .into_iter()
+        .map(|plan| {
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).expect("driver connects");
+                plan.into_iter()
+                    .filter(|&seed| {
+                        let params = Json::obj(vec![
+                            ("trials", Json::Num(TRIALS)),
+                            ("seed", Json::Num(seed as f64)),
+                            ("scale", Json::Num(1.0)),
+                        ]);
+                        client.request("montecarlo", params).expect("answered").is_ok()
+                    })
+                    .count() as u64
+            })
+        })
+        .collect();
+    let ok: u64 = drivers.into_iter().map(|d| d.join().expect("driver thread")).sum();
+    assert_eq!(ok, total, "every request is answered ok");
+
+    let mut client = Client::connect(addr).expect("metrics connection");
+    let metrics = client.request("metrics", Json::Obj(Vec::new())).expect("metrics answers");
+    let counter = |key: &str| {
+        metrics
+            .result()
+            .and_then(|r| r.get("endpoints"))
+            .and_then(|e| e.get("montecarlo"))
+            .and_then(|m| m.get(key))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("metrics missing endpoints.montecarlo.{key}"))
+    };
+    assert_eq!(counter("requests"), total);
+    assert_eq!(counter("cache_misses"), unique, "one execution per distinct point");
+    assert_eq!(counter("cache_hits"), total - unique, "every duplicate is a hit");
+    assert_eq!(counter("shed"), 0);
+    assert_eq!(counter("expired"), 0);
+
+    let ack = client.shutdown().expect("shutdown acks");
+    assert!(ack.is_ok(), "the loaded server drains under the crowd");
+    handle.join();
+    drop(crowd);
 }

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Benchmark harness: runs the serving, fan-in, kernel and cluster
-# benchmarks with profiling enabled, writes machine-readable artifacts,
-# and validates them.
+# Benchmark harness: runs the kernel and cluster benchmarks with
+# profiling enabled, writes machine-readable artifacts, and validates
+# them. (The serving path's load generator is perfbench/.)
 #
-#   scripts/bench.sh           # full run: BENCH_serve + BENCH_fanin + BENCH_kernels + BENCH_cluster
+#   scripts/bench.sh           # full run: BENCH_kernels + BENCH_cluster
 #   scripts/bench.sh --smoke   # small sizes, same artifacts — the CI lane
 #
 # Artifacts land in the repo root (override with BENCH_DIR). Every file
@@ -22,34 +22,20 @@ export CARGO_NET_OFFLINE=true
 export IMPLANT_OBS=1
 
 BENCH_DIR="${BENCH_DIR:-.}"
-SERVE_JSON="$BENCH_DIR/BENCH_serve.json"
-FANIN_JSON="$BENCH_DIR/BENCH_fanin.json"
 KERNELS_JSON="$BENCH_DIR/BENCH_kernels.json"
 CLUSTER_JSON="$BENCH_DIR/BENCH_cluster.json"
 
-SERVE_ARGS=(--connections 4 --requests 25 --mc-trials 200)
-# bench_fanin caps its idle soak to the process fd budget, so asking
-# for 10k is safe on hosts with a smaller `ulimit -n`.
-FANIN_ARGS=(--connections 10000 --drivers 32 --requests 40 --mc-trials 120)
 KERNEL_ARGS=()
 # --warm adds the post-kill repeat-read comparison (no store vs shared
 # store + hedged reads) to BENCH_cluster.json's `warm` object.
 CLUSTER_ARGS=(--connections 4 --requests 30 --mc-trials 150 --warm)
 if [[ "${1:-}" == "--smoke" ]]; then
-    SERVE_ARGS=(--connections 2 --requests 8 --mc-trials 50)
-    FANIN_ARGS=(--connections 500 --drivers 8 --requests 15 --mc-trials 40)
     KERNEL_ARGS=(--smoke)
     CLUSTER_ARGS=(--smoke --warm)
 fi
 
 echo "==> building benchmark binaries"
 cargo build --release -p bench
-
-echo "==> serving benchmark -> $SERVE_JSON"
-./target/release/bench_serve "${SERVE_ARGS[@]}" --profile --json "$SERVE_JSON"
-
-echo "==> fan-in benchmark -> $FANIN_JSON"
-./target/release/bench_fanin "${FANIN_ARGS[@]}" --profile --json "$FANIN_JSON"
 
 echo "==> kernel benchmark -> $KERNELS_JSON"
 ./target/release/bench_kernels "${KERNEL_ARGS[@]}" --profile --json "$KERNELS_JSON"
@@ -58,6 +44,6 @@ echo "==> cluster benchmark -> $CLUSTER_JSON"
 ./target/release/bench_cluster "${CLUSTER_ARGS[@]}" --json "$CLUSTER_JSON"
 
 echo "==> validating artifacts"
-./target/release/bench_validate "$SERVE_JSON" "$FANIN_JSON" "$KERNELS_JSON" "$CLUSTER_JSON"
+./target/release/bench_validate "$KERNELS_JSON" "$CLUSTER_JSON"
 
-echo "bench: OK ($SERVE_JSON, $FANIN_JSON, $KERNELS_JSON, $CLUSTER_JSON)"
+echo "bench: OK ($KERNELS_JSON, $CLUSTER_JSON)"

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification, runnable with no network access.
 #
-#   scripts/verify.sh          # build + test + clippy + serve + kernels + testkit + perfbench
+#   scripts/verify.sh          # build + test + clippy + cluster + testkit + scenario + kernels + perfbench
 #   scripts/verify.sh --fuzz   # additionally run the property-test suites
 #
 # Everything resolves from in-tree path dependencies (crates/proptest
@@ -13,10 +13,10 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
-# The workspace currently runs 838 tests; a sharp drop means suites
+# The workspace currently runs 827 tests; a sharp drop means suites
 # silently fell out of the build (feature gate, dead test file, a
 # `#[cfg]` typo), which a plain exit code would never catch.
-MIN_TESTS=838
+MIN_TESTS=827
 
 TEST_LOG="$(mktemp)"
 trap 'rm -f "$TEST_LOG"' EXIT
@@ -42,19 +42,6 @@ if (( passed < MIN_TESTS )); then
     exit 1
 fi
 echo "==> [gate] $passed tests passed (minimum $MIN_TESTS)"
-
-# Serving smoke lane: bench_serve spawns implant-server on an ephemeral
-# port, drives it from concurrent connections, and asserts the three
-# load-management contracts (every request answered, full queue sheds
-# with a structured `overloaded` error, graceful shutdown drains). A
-# non-zero exit fails the gate.
-lane serve ./target/release/bench_serve --connections 4 --requests 12 --mc-trials 100
-
-# Fan-in smoke lane: bench_fanin parks an idle-connection soak on the
-# poller front-end, drives a 90%-duplicate workload through it, and
-# asserts threads stay flat, every request is answered, and the
-# single-flight ledger shows exactly one execution per distinct point.
-lane fanin ./target/release/bench_fanin --connections 500 --drivers 8 --requests 15 --mc-trials 40
 
 # Cluster smoke lane: bench_cluster spawns replica sets, probes health
 # to convergence, kills one replica of three under load, and asserts
@@ -98,7 +85,7 @@ lane kernels-bench env IMPLANT_OBS=1 \
 lane kernels-gate ./target/release/bench_validate "$KERNELS_JSON"
 
 # Bench lane: the profiling harness must produce valid machine-readable
-# artifacts — scripts/bench.sh runs the four benchmarks at smoke sizes
+# artifacts — scripts/bench.sh runs the kernel and cluster benchmarks at smoke sizes
 # and bench_validate rejects non-finite numbers, a foreign schema, empty
 # stage breakdowns, and malformed or failing gates.
 lane bench env BENCH_DIR="$(mktemp -d)" ./scripts/bench.sh --smoke
