@@ -16,93 +16,9 @@ pub enum Integration {
     Trapezoidal,
 }
 
-/// Configuration of a transient analysis.
-///
-/// ```
-/// use analog::TransientSpec;
-/// let spec = TransientSpec::new(700e-6)
-///     .with_max_step(8e-9)
-///     .with_reltol(1e-3);
-/// assert_eq!(spec.t_stop, 700e-6);
-/// ```
-#[derive(Debug, Clone)]
-pub struct TransientSpec {
-    /// End time of the analysis in seconds.
-    pub t_stop: f64,
-    /// Upper bound on the internal time step; `None` lets the engine pick
-    /// `t_stop / 50`.
-    pub max_step: Option<f64>,
-    /// Hard floor for the adaptive step; going below this aborts.
-    pub min_step: f64,
-    /// Relative convergence/LTE tolerance.
-    pub reltol: f64,
-    /// Absolute voltage tolerance in volts.
-    pub vabstol: f64,
-    /// Absolute current tolerance in amperes.
-    pub iabstol: f64,
-    /// Integration method.
-    pub method: Integration,
-    /// Enables local-truncation-error step control (in addition to
-    /// Newton-failure backoff).
-    pub lte_control: bool,
-    /// Maximum Newton iterations per time point.
-    pub max_newton: usize,
-    /// Record branch currents (as `I(name)` traces) in addition to node
-    /// voltages.
-    pub record_currents: bool,
-}
-
-impl TransientSpec {
-    /// A transient analysis to `t_stop` seconds with SPICE-like defaults.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t_stop` is not positive.
-    pub fn new(t_stop: f64) -> Self {
-        assert!(t_stop > 0.0, "transient t_stop must be positive");
-        TransientSpec {
-            t_stop,
-            max_step: None,
-            min_step: 1.0e-18,
-            reltol: 1.0e-3,
-            vabstol: 1.0e-6,
-            iabstol: 1.0e-9,
-            method: Integration::Trapezoidal,
-            lte_control: true,
-            max_newton: 60,
-            record_currents: true,
-        }
-    }
-
-    /// Sets the maximum internal time step.
-    pub fn with_max_step(mut self, max_step: f64) -> Self {
-        self.max_step = Some(max_step);
-        self
-    }
-
-    /// Sets the relative tolerance.
-    pub fn with_reltol(mut self, reltol: f64) -> Self {
-        self.reltol = reltol;
-        self
-    }
-
-    /// Selects the integration method.
-    pub fn with_method(mut self, method: Integration) -> Self {
-        self.method = method;
-        self
-    }
-
-    /// Disables LTE-based step control (Newton-failure backoff remains).
-    pub fn without_lte(mut self) -> Self {
-        self.lte_control = false;
-        self
-    }
-}
-
-/// Configuration of a transient run on a [`crate::CompiledCircuit`].
-///
-/// Carries the same numerical knobs as [`TransientSpec`] plus compiled-
-/// engine options, and is constructed through [`TranConfig::builder`]:
+/// Configuration of a transient analysis: the numerical knobs every
+/// engine reads plus the compiled engine's profiling switch, constructed
+/// through [`TranConfig::builder`]:
 ///
 /// ```
 /// use analog::{Integration, TranConfig};
@@ -142,13 +58,14 @@ pub struct TranConfig {
     pub record_currents: bool,
     /// Measure per-phase wall time (assemble / factorize / solve) in the
     /// run's [`crate::EngineStats`]. Off by default: the timestamps cost
-    /// a few percent on small matrices.
+    /// a few percent on small matrices. The dense reference engine
+    /// ignores it.
     pub profile: bool,
 }
 
 impl TranConfig {
     /// Starts a builder for a transient run to `t_stop` seconds with
-    /// SPICE-like defaults (the same defaults as [`TransientSpec::new`]).
+    /// SPICE-like defaults.
     ///
     /// # Panics
     ///
@@ -169,26 +86,6 @@ impl TranConfig {
                 record_currents: true,
                 profile: false,
             },
-        }
-    }
-}
-
-impl From<&TransientSpec> for TranConfig {
-    /// Carries a legacy spec over unchanged (profiling off), so the
-    /// deprecated one-shot entry points reproduce their old numerics.
-    fn from(spec: &TransientSpec) -> Self {
-        TranConfig {
-            t_stop: spec.t_stop,
-            max_step: spec.max_step,
-            min_step: spec.min_step,
-            reltol: spec.reltol,
-            vabstol: spec.vabstol,
-            iabstol: spec.iabstol,
-            method: spec.method,
-            lte_control: spec.lte_control,
-            max_newton: spec.max_newton,
-            record_currents: spec.record_currents,
-            profile: false,
         }
     }
 }
@@ -638,12 +535,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "t_stop must be positive")]
-    fn transient_spec_validates() {
-        let _ = TransientSpec::new(0.0);
-    }
-
-    #[test]
     fn tran_config_builder_sets_every_field() {
         let cfg = TranConfig::builder(1.0e-3)
             .max_step(1.0e-6)
@@ -668,23 +559,6 @@ mod tests {
         assert_eq!(cfg.max_newton, 40);
         assert!(!cfg.record_currents);
         assert!(cfg.profile);
-    }
-
-    #[test]
-    fn tran_config_from_spec_matches_defaults() {
-        let spec = TransientSpec::new(2.0e-3).with_max_step(5.0e-7);
-        let cfg = TranConfig::from(&spec);
-        assert_eq!(cfg.t_stop, spec.t_stop);
-        assert_eq!(cfg.max_step, spec.max_step);
-        assert_eq!(cfg.min_step, spec.min_step);
-        assert_eq!(cfg.method, spec.method);
-        assert!(!cfg.profile);
-        // Builder defaults agree with the legacy spec defaults.
-        let built = TranConfig::builder(2.0e-3).max_step(5.0e-7).build();
-        assert_eq!(built.reltol, cfg.reltol);
-        assert_eq!(built.vabstol, cfg.vabstol);
-        assert_eq!(built.iabstol, cfg.iabstol);
-        assert_eq!(built.max_newton, cfg.max_newton);
     }
 
     #[test]

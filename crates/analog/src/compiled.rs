@@ -1628,7 +1628,6 @@ fn lower(ckt: &Circuit) -> Result<Program, SimError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::TransientSpec;
     use crate::device::{DiodeModel, MosModel, SwitchModel};
 
     fn rc_lowpass() -> Circuit {
@@ -1698,7 +1697,7 @@ mod tests {
 
     fn assert_tran_close(ckt: &Circuit, t_stop: f64, max_step: f64, signal: &str, tol: f64) {
         let reference = ckt
-            .transient_reference(&TransientSpec::new(t_stop).with_max_step(max_step))
+            .transient_reference(&TranConfig::builder(t_stop).max_step(max_step).build())
             .expect("reference transient");
         let compiled = ckt
             .compile()
@@ -1926,7 +1925,7 @@ mod tests {
         let lr = ckt.inductor_with_ic("L1", b, Circuit::GND, 1.0e-3, 1.0e-3);
         let _ = lr;
         let reference = ckt
-            .transient_reference(&TransientSpec::new(1.0e-6).with_max_step(0.1e-6))
+            .transient_reference(&TranConfig::builder(1.0e-6).max_step(0.1e-6).build())
             .unwrap();
         let compiled = ckt
             .compile()

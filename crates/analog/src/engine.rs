@@ -7,7 +7,7 @@
 use std::collections::HashMap;
 
 use crate::analysis::{
-    AcResult, AcSpec, Integration, OpPoint, TransientResult, TransientSpec,
+    AcResult, AcSpec, Integration, OpPoint, TranConfig, TransientResult,
 };
 use crate::complex::Complex;
 use crate::device::{fetlim, limvds, pnjlim, DiodeModel, MosPolarity};
@@ -599,7 +599,7 @@ impl<'a> Engine<'a> {
         bps
     }
 
-    pub(crate) fn transient(&mut self, spec: &TransientSpec) -> Result<TransientResult, SimError> {
+    pub(crate) fn transient(&mut self, spec: &TranConfig) -> Result<TransientResult, SimError> {
         let t_stop = spec.t_stop;
         let max_step = spec.max_step.unwrap_or(t_stop / 50.0);
         if max_step <= 0.0 {
@@ -753,7 +753,7 @@ impl<'a> Engine<'a> {
         history: &[(f64, Vec<f64>)],
         t_new: f64,
         x_new: &[f64],
-        spec: &TransientSpec,
+        spec: &TranConfig,
     ) -> f64 {
         let n = history.len();
         let (t0, x0) = &history[n - 3];

@@ -66,7 +66,7 @@ mod engine;
 
 pub use analysis::{
     AcResult, AcSpec, DcSweepResult, Integration, OpPoint, TranConfig, TranConfigBuilder,
-    TransientResult, TransientSpec,
+    TransientResult,
 };
 pub use compiled::{CompiledCircuit, EngineStats};
 pub use complex::Complex;

@@ -4,7 +4,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::analysis::{OpPoint, TransientResult, TransientSpec};
+use crate::analysis::{OpPoint, TranConfig, TransientResult};
 use crate::compiled::CompiledCircuit;
 use crate::device::{DiodeModel, MosModel, SwitchModel};
 use crate::engine::Engine;
@@ -492,7 +492,7 @@ impl Circuit {
     ///
     /// As [`CompiledCircuit::tran`].
     #[doc(hidden)]
-    pub fn transient_reference(&self, spec: &TransientSpec) -> Result<TransientResult, SimError> {
+    pub fn transient_reference(&self, spec: &TranConfig) -> Result<TransientResult, SimError> {
         Engine::new(&self.for_simulation())?.transient(spec)
     }
 

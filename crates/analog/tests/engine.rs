@@ -3,7 +3,7 @@
 //! rectifier/demodulator circuits.
 
 use analog::{
-    AcSpec, Circuit, DiodeModel, MosModel, SourceFn, SwitchModel, TranConfig, TransientSpec,
+    AcSpec, Circuit, DiodeModel, MosModel, SourceFn, SwitchModel, TranConfig,
 };
 use analog::analysis::Integration;
 use analog::waveform::Edge;
@@ -67,10 +67,11 @@ fn rc_step_response_backward_euler() {
     ckt.voltage_source("V1", vin, Circuit::GND, SourceFn::dc(v0));
     ckt.resistor("R1", vin, out, r);
     ckt.capacitor_with_ic("C1", out, Circuit::GND, c, 0.0);
-    let spec = TransientSpec::new(5.0 * tau)
-        .with_max_step(tau / 200.0)
-        .with_method(Integration::BackwardEuler);
-    let res = ckt.compile().unwrap().tran(&TranConfig::from(&spec)).unwrap();
+    let cfg = TranConfig::builder(5.0 * tau)
+        .max_step(tau / 200.0)
+        .method(Integration::BackwardEuler)
+        .build();
+    let res = ckt.compile().unwrap().tran(&cfg).unwrap();
     let w = res.trace("out").unwrap();
     let expect = v0 * (1.0 - (-1.0f64).exp());
     assert!((w.value_at(tau) - expect).abs() < 0.02);

@@ -6,7 +6,7 @@
 //! engines run identical Newton/LTE control flow, so trajectories agree
 //! to solver tolerance, not just physics tolerance).
 
-use analog::{Circuit, DiodeModel, SourceFn, TranConfig, TransientSpec};
+use analog::{Circuit, DiodeModel, SourceFn, TranConfig};
 use proptest::prelude::*;
 
 /// One ladder section: series resistance, shunt capacitance, and flags
@@ -79,7 +79,7 @@ proptest! {
         let t_stop = 4.0 / freq;
         let max_step = t_stop / 400.0;
         let reference = ckt
-            .transient_reference(&TransientSpec::new(t_stop).with_max_step(max_step))
+            .transient_reference(&TranConfig::builder(t_stop).max_step(max_step).build())
             .unwrap();
         let compiled = ckt
             .compile()

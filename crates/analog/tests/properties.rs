@@ -2,7 +2,7 @@
 
 //! Property-based tests on the simulator's core invariants.
 
-use analog::{Circuit, SourceFn, TranConfig, TransientSpec};
+use analog::{Circuit, SourceFn, TranConfig};
 use analog::linalg::Matrix;
 use proptest::prelude::*;
 
@@ -143,10 +143,10 @@ proptest! {
             ckt.capacitor_with_ic("C1", out, Circuit::GND, c, 0.0);
             ckt
         };
-        let spec_tr = TransientSpec::new(2.0 * tau).with_max_step(tau / 100.0);
-        let spec_be = spec_tr.clone().with_method(Integration::BackwardEuler);
-        let w_tr = build().compile().unwrap().tran(&TranConfig::from(&spec_tr)).unwrap().trace("out").unwrap();
-        let w_be = build().compile().unwrap().tran(&TranConfig::from(&spec_be)).unwrap().trace("out").unwrap();
+        let cfg_tr = TranConfig::builder(2.0 * tau).max_step(tau / 100.0).build();
+        let cfg_be = TranConfig { method: Integration::BackwardEuler, ..cfg_tr.clone() };
+        let w_tr = build().compile().unwrap().tran(&cfg_tr).unwrap().trace("out").unwrap();
+        let w_be = build().compile().unwrap().tran(&cfg_be).unwrap().trace("out").unwrap();
         for k in [0.5, 1.0, 1.5] {
             prop_assert!((w_tr.value_at(k * tau) - w_be.value_at(k * tau)).abs() < 0.02);
         }

@@ -279,11 +279,13 @@ mod tests {
             duty: (0.25, 0.75),
         };
         let params = CohortCampaign::shard_params(&cohort);
-        let decoded = server::proto::CohortParams::decode(
+        let decoded = server::proto::RequestBody::decode(
+            "cohort",
             &params,
             &server::proto::DecodeLimits::default(),
         )
         .expect("campaign params must always decode");
+        let server::proto::RequestBody::Cohort(decoded) = decoded else { panic!("{decoded:?}") };
         assert_eq!(decoded.to_cohort(), cohort);
     }
 

@@ -36,7 +36,7 @@
 use crate::member::{HealthState, ReplicaSet};
 use crate::rendezvous;
 use server::client::{Client, ClientError, Response};
-use server::proto::{DecodeError, DecodeLimits, RequestBody};
+use server::proto::{DecodeLimits, RequestBody, WireError};
 use server::router::render_cached_body;
 use runtime::rng::Rng as _;
 use runtime::{cache_key, derive_seed, Json, Xoshiro256PlusPlus};
@@ -186,7 +186,7 @@ pub enum ClusterError {
     /// The membership is empty.
     NoMembers,
     /// The request itself is invalid (client-side decode).
-    Decode(DecodeError),
+    Decode(WireError),
     /// Retry budget or deadline budget ran out; carries the last
     /// failure seen.
     Exhausted {

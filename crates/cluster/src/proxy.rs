@@ -33,7 +33,7 @@ use server::client::Client;
 use server::conn::MAX_LINE;
 use server::poller::{LineAction, LineService, PollerPool};
 use server::proto::{
-    decode_err_response, err_response, ok_response, ErrorCode, Request, VERSION,
+    err_response, ok_response, ErrorCode, Request, WireError, VERSION,
 };
 use server::queue::{BoundedQueue, PushError};
 use store::Store;
@@ -133,14 +133,11 @@ impl LineService for ProxyService {
         }
         let request = match std::str::from_utf8(line) {
             Err(_) => {
-                return LineAction::Inline(err_response(
-                    0,
-                    ErrorCode::BadRequest,
-                    "request line is not UTF-8",
-                ))
+                let err = WireError::new(ErrorCode::BadRequest, "request line is not UTF-8");
+                return LineAction::Inline(err_response(0, &err));
             }
             Ok(text) => match Request::decode_line(text) {
-                Err(e) => return LineAction::Inline(decode_err_response(0, &e)),
+                Err(e) => return LineAction::Inline(err_response(0, &e)),
                 Ok(request) => request,
             },
         };
@@ -156,32 +153,26 @@ impl LineService for ProxyService {
         let (reply, inbox) = mpsc::channel();
         match self.shared.jobs.try_push(ProxyJob { request, reply }) {
             Ok(()) => LineAction::Pending(inbox),
-            Err(PushError::Full(job)) => LineAction::Inline(err_response(
-                job.request.id,
-                ErrorCode::Overloaded,
-                &format!(
-                    "proxy queue full (capacity {}); retry with backoff",
-                    self.shared.jobs.capacity()
-                ),
-            )),
-            Err(PushError::Closed(job)) => LineAction::Inline(err_response(
-                job.request.id,
-                ErrorCode::ShuttingDown,
-                "proxy is draining; no new work",
-            )),
+            Err(PushError::Full(job)) => {
+                let capacity = self.shared.jobs.capacity();
+                let message = format!("proxy queue full (capacity {capacity}); retry with backoff");
+                let err = WireError::new(ErrorCode::Overloaded, message);
+                LineAction::Inline(err_response(job.request.id, &err))
+            }
+            Err(PushError::Closed(job)) => {
+                let err = WireError::new(ErrorCode::ShuttingDown, "proxy is draining; no new work");
+                LineAction::Inline(err_response(job.request.id, &err))
+            }
         }
     }
 
     fn oversized_line(&self) -> String {
-        err_response(
-            0,
-            ErrorCode::BadRequest,
-            &format!("request line exceeds {MAX_LINE} bytes"),
-        )
+        let message = format!("request line exceeds {MAX_LINE} bytes");
+        err_response(0, &WireError::new(ErrorCode::BadRequest, message))
     }
 
     fn lost_line(&self) -> String {
-        err_response(0, ErrorCode::Internal, "proxy worker lost")
+        err_response(0, &WireError::new(ErrorCode::Internal, "proxy worker lost"))
     }
 }
 
@@ -320,15 +311,16 @@ fn dispatch(request: Request, shared: &Arc<ProxyShared>, router: &mut ClusterCli
                     let doc = with_id(routed.response.into_json(), request.id);
                     with_replica(doc, &routed.replica).to_string()
                 }
-                Err(ClusterError::Decode(e)) => decode_err_response(request.id, &e),
-                Err(ClusterError::NoMembers) => {
-                    err_response(request.id, ErrorCode::Internal, "no replicas in the set")
-                }
+                Err(ClusterError::Decode(e)) => err_response(request.id, &e),
+                Err(ClusterError::NoMembers) => err_response(
+                    request.id,
+                    &WireError::new(ErrorCode::Internal, "no replicas in the set"),
+                ),
                 Err(e @ ClusterError::Exhausted { .. }) => {
                     // Transient failures all the way down: tell the
                     // client to back off, exactly like one overloaded
                     // replica would.
-                    err_response(request.id, ErrorCode::Overloaded, &e.to_string())
+                    err_response(request.id, &WireError::new(ErrorCode::Overloaded, e.to_string()))
                 }
             }
         }

@@ -21,22 +21,21 @@
 //! the single-flight table: if an identical request is already in
 //! flight, this one parks as a follower (`server.singleflight.follower`)
 //! and is answered when the leader publishes — it never occupies a
-//! queue slot or recomputes the artifact.
+//! queue slot or recomputes the artifact. A leader the queue refuses
+//! resolves its flight at once with the refusal.
 //!
 //! Each protocol stage records into the [`obs`] registry:
 //! `server.read` (data-bearing socket reads), `server.decode`
 //! (envelope + typed body), `server.queue_wait`, `server.execute` and
-//! `server.encode` (worker side, see [`crate::worker_loop`]) and
+//! `server.encode` (worker side, see `worker_loop` in `lib.rs`) and
 //! `server.write`.
 
-use crate::flight::Waiter;
+use crate::flight::{Outcome, Waiter};
 use crate::poller::{LineAction, LineService};
 use crate::proto::{
-    decode_err_response, err_response, ok_response, ok_response_checked, ErrorCode, Request,
-    RequestBody,
+    err_response, ok_response, ok_response_checked, ErrorCode, Request, RequestBody, WireError,
 };
 use crate::queue::PushError;
-use crate::router::RouteError;
 use crate::{Job, Shared};
 use runtime::{Flight, Json};
 use std::sync::mpsc;
@@ -79,14 +78,14 @@ impl LineService for ServerService {
         let envelope = {
             let _decode = obs::span!("server.decode");
             match std::str::from_utf8(line) {
-                Err(_) => Err(err_response(0, ErrorCode::BadRequest, "request line is not UTF-8")),
-                Ok(text) => Request::decode_line(text).map_err(|e| decode_err_response(0, &e)),
+                Err(_) => Err(WireError::new(ErrorCode::BadRequest, "request line is not UTF-8")),
+                Ok(text) => Request::decode_line(text),
             }
         };
         match envelope {
             Err(rejection) => {
                 self.shared.metrics.record_error(MALFORMED, ErrorCode::BadRequest);
-                LineAction::Inline(rejection)
+                LineAction::Inline(err_response(0, &rejection))
             }
             Ok(request) => dispatch(request, &self.shared),
         }
@@ -94,11 +93,8 @@ impl LineService for ServerService {
 
     fn oversized_line(&self) -> String {
         self.shared.metrics.record_error(MALFORMED, ErrorCode::BadRequest);
-        err_response(
-            0,
-            ErrorCode::BadRequest,
-            &format!("request line exceeds {MAX_LINE} bytes"),
-        )
+        let message = format!("request line exceeds {MAX_LINE} bytes");
+        err_response(0, &WireError::new(ErrorCode::BadRequest, message))
     }
 
     fn idle_timeout(&self) -> Option<Duration> {
@@ -108,17 +104,14 @@ impl LineService for ServerService {
     fn idle_line(&self) -> String {
         self.shared.metrics.record_error(IDLE, ErrorCode::IdleTimeout);
         let timeout = self.shared.idle_timeout.unwrap_or_default();
-        err_response(
-            0,
-            ErrorCode::IdleTimeout,
-            &format!("connection idle for {} ms; closing", timeout.as_millis()),
-        )
+        let message = format!("connection idle for {} ms; closing", timeout.as_millis());
+        err_response(0, &WireError::new(ErrorCode::IdleTimeout, message))
     }
 
     fn lost_line(&self) -> String {
         // A worker dropped the reply channel without sending — only
         // possible if the worker thread itself died.
-        err_response(0, ErrorCode::Internal, "worker lost")
+        err_response(0, &WireError::new(ErrorCode::Internal, "worker lost"))
     }
 }
 
@@ -137,7 +130,7 @@ fn dispatch(request: Request, shared: &Arc<Shared>) -> LineAction {
                 _ => &request.endpoint,
             };
             shared.metrics.record_error(bucket, err.code);
-            return LineAction::Inline(decode_err_response(request.id, &err));
+            return LineAction::Inline(err_response(request.id, &err));
         }
     };
     let response = match body {
@@ -222,32 +215,28 @@ fn submit(
     }
 
     let job = Job { id, body, enqueued: now, deadline, reply, flight_key };
-    match shared.queue.try_push(job) {
-        Ok(()) => LineAction::Pending(inbox),
+    let (job, refusal) = match shared.queue.try_push(job) {
+        Ok(()) => return LineAction::Pending(inbox),
         Err(PushError::Full(job)) => {
-            shared.metrics.record_error(job.body.endpoint(), ErrorCode::Overloaded);
-            abort_flight(
-                shared,
-                &job,
-                ErrorCode::Overloaded,
-                &format!("queue full (capacity {}); retry with backoff", shared.queue.capacity()),
-            );
-            LineAction::Inline(err_response(
-                job.id,
-                ErrorCode::Overloaded,
-                &format!("queue full (capacity {}); retry with backoff", shared.queue.capacity()),
-            ))
+            let capacity = shared.queue.capacity();
+            let message = format!("queue full (capacity {capacity}); retry with backoff");
+            (job, WireError::new(ErrorCode::Overloaded, message))
         }
         Err(PushError::Closed(job)) => {
-            shared.metrics.record_error(job.body.endpoint(), ErrorCode::ShuttingDown);
-            abort_flight(shared, &job, ErrorCode::ShuttingDown, "server is draining; no new work");
-            LineAction::Inline(err_response(
-                job.id,
-                ErrorCode::ShuttingDown,
-                "server is draining; no new work",
-            ))
+            (job, WireError::new(ErrorCode::ShuttingDown, "server is draining; no new work"))
         }
+    };
+    // A leader that failed admission resolves its flight at once:
+    // followers that raced in between `join` and the failed push get the
+    // same structured refusal, and the key is left clean.
+    let endpoint = job.body.endpoint();
+    let outcome = Outcome::Answer(Err(refusal));
+    if let Some(key) = job.flight_key {
+        let (flight, metrics) = (&shared.flight, &shared.metrics);
+        crate::flight::publish(flight, metrics, endpoint, key, &outcome, Duration::ZERO);
+        shared.wake_pollers();
     }
+    LineAction::Inline(outcome.answer(&shared.metrics, endpoint, job.id, 0, Duration::ZERO, None))
 }
 
 /// Answers a request whose result the router holds in memory, on the
@@ -264,22 +253,4 @@ fn answer_resident(id: u64, body: &RequestBody, key: u64, shared: &Shared) -> Op
     shared.metrics.record_ok(body.endpoint(), service, 1, 0);
     let _encode = obs::span!("server.encode");
     Some(ok_response_checked(id, result, 0, service.as_micros() as u64))
-}
-
-/// A leader that failed admission resolves its flight immediately:
-/// followers that raced in between `join` and the failed push get the
-/// same structured refusal, and the key is left clean.
-fn abort_flight(shared: &Arc<Shared>, job: &Job, code: ErrorCode, message: &str) {
-    let Some(key) = job.flight_key else { return };
-    let refusal =
-        RouteError { code, field: None, message: message.to_string() };
-    crate::flight::publish(
-        &shared.flight,
-        &shared.metrics,
-        job.body.endpoint(),
-        key,
-        crate::flight::FlightOutcome::RouteErr(&refusal),
-        Duration::ZERO,
-    );
-    shared.wake_pollers();
 }

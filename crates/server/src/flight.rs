@@ -14,10 +14,11 @@
 //! every parked waiter exactly once — whatever the outcome — so a
 //! panicking or expiring leader can never poison the key: the entry is
 //! removed unconditionally and the next request for the key leads a
-//! fresh flight.
+//! fresh flight. Every waiter's line, like the leader's own, is rendered
+//! by [`Outcome::answer`] from the one outcome the leader resolved to.
 
-use crate::proto::{err_response, err_response_fielded, ok_response_checked, ErrorCode};
-use crate::router::{RouteError, Routed};
+use crate::proto::{err_response, ok_response_checked, ErrorCode, WireError};
+use crate::router::Routed;
 use crate::stats::ServerMetrics;
 use runtime::Inflight;
 use std::sync::mpsc;
@@ -37,83 +38,94 @@ pub struct Waiter {
     pub reply: mpsc::Sender<String>,
 }
 
-/// How the leader of a flight resolved.
+/// How a data request resolved: what its leader's line and every
+/// follower's line are rendered from, by [`Outcome::answer`].
 #[derive(Debug)]
-pub enum FlightOutcome<'a> {
-    /// The leader succeeded; followers observe the same result
-    /// document (ids and timings differ per waiter).
-    Ok(&'a Routed),
-    /// The leader failed with a structured routing error; followers
-    /// see the same code/field/message.
-    RouteErr(&'a RouteError),
-    /// The leader's handler panicked. Followers get a structured
+pub enum Outcome {
+    /// The router's answer — a result or a structured error — or the
+    /// refusal that kept the leader out of the queue. Followers observe
+    /// the same document or error (ids and timings differ per waiter).
+    Answer(Result<Routed, WireError>),
+    /// The leader's handler panicked. Every line is a structured
     /// `internal` error and the key is left clean for a retry.
     Panicked,
-    /// The leader expired in the queue before service. Each follower
-    /// is judged against its *own* deadline: expired followers count
-    /// `expired` exactly once; still-live followers are shed with
-    /// `overloaded` so a retry can lead a fresh flight.
+    /// The leader expired in the queue before service. Each request is
+    /// judged against its *own* deadline: expired ones count `expired`
+    /// exactly once; still-live followers are shed with `overloaded` so
+    /// a retry can lead a fresh flight.
     Expired,
 }
 
-/// Resolves the flight for `key`: drains all parked waiters, records
-/// their metrics and delivers their response lines.
+impl Outcome {
+    /// Renders the line one request receives and records its metrics:
+    /// the leader (`follower` `None`) or a follower, given its own
+    /// deadline. `queue_us` is the request's own wait; `service` the
+    /// leader's execution time.
+    pub fn answer(
+        &self,
+        metrics: &ServerMetrics,
+        endpoint: &str,
+        id: u64,
+        queue_us: u64,
+        service: Duration,
+        follower: Option<Instant>,
+    ) -> String {
+        let err = match self {
+            Outcome::Answer(Ok(routed)) => {
+                match follower {
+                    None => metrics.record_ok(
+                        endpoint,
+                        service,
+                        routed.cache_hits,
+                        routed.cache_misses,
+                    ),
+                    Some(_) => metrics.record_collapsed_ok(endpoint, service),
+                }
+                let service_us = service.as_micros() as u64;
+                return ok_response_checked(id, routed.result.clone(), queue_us, service_us);
+            }
+            Outcome::Answer(Err(e)) => e.clone(),
+            Outcome::Panicked => WireError::new(
+                ErrorCode::Internal,
+                match follower {
+                    None => "handler panicked; request isolated",
+                    Some(_) => "single-flight leader panicked; retry",
+                },
+            ),
+            Outcome::Expired if follower.is_some_and(|deadline| Instant::now() < deadline) => {
+                WireError::new(
+                    ErrorCode::Overloaded,
+                    "single-flight leader expired in queue; retry",
+                )
+            }
+            Outcome::Expired => WireError::new(
+                ErrorCode::DeadlineExceeded,
+                format!("deadline expired after {queue_us} µs in queue"),
+            ),
+        };
+        metrics.record_error(endpoint, err.code);
+        err_response(id, &err)
+    }
+}
+
+/// Resolves the flight for `key`: drains all parked waiters and answers
+/// each with its line from `outcome`.
 ///
 /// The entry is removed unconditionally, so this never leaves a
 /// poisoned key behind — even when the outcome is
-/// [`FlightOutcome::Panicked`]. Waiters whose connection has already
-/// gone away are skipped silently (the send simply fails).
+/// [`Outcome::Panicked`]. Waiters whose connection has already gone
+/// away are skipped silently (the send simply fails).
 pub fn publish(
     flight: &Inflight<Waiter>,
     metrics: &ServerMetrics,
     endpoint: &str,
     key: u64,
-    outcome: FlightOutcome<'_>,
+    outcome: &Outcome,
     service: Duration,
 ) {
-    let waiters = flight.complete(key);
-    if waiters.is_empty() {
-        return;
-    }
-    let now = Instant::now();
-    let service_us = service.as_micros() as u64;
-    for w in waiters {
-        let queue_us = now.saturating_duration_since(w.enqueued).as_micros() as u64;
-        let line = match &outcome {
-            FlightOutcome::Ok(routed) => {
-                metrics.record_collapsed_ok(endpoint, service);
-                ok_response_checked(w.id, routed.result.clone(), queue_us, service_us)
-            }
-            FlightOutcome::RouteErr(e) => {
-                metrics.record_error(endpoint, e.code);
-                err_response_fielded(w.id, e.code, &e.message, e.field.as_deref())
-            }
-            FlightOutcome::Panicked => {
-                metrics.record_error(endpoint, ErrorCode::Internal);
-                err_response(
-                    w.id,
-                    ErrorCode::Internal,
-                    "single-flight leader panicked; retry",
-                )
-            }
-            FlightOutcome::Expired => {
-                if now >= w.deadline {
-                    metrics.record_error(endpoint, ErrorCode::DeadlineExceeded);
-                    err_response(
-                        w.id,
-                        ErrorCode::DeadlineExceeded,
-                        &format!("deadline expired after {queue_us} µs in queue"),
-                    )
-                } else {
-                    metrics.record_error(endpoint, ErrorCode::Overloaded);
-                    err_response(
-                        w.id,
-                        ErrorCode::Overloaded,
-                        "single-flight leader expired in queue; retry",
-                    )
-                }
-            }
-        };
+    for w in flight.complete(key) {
+        let queue_us = w.enqueued.elapsed().as_micros() as u64;
+        let line = outcome.answer(metrics, endpoint, w.id, queue_us, service, Some(w.deadline));
         let _ = w.reply.send(line);
     }
 }
@@ -160,7 +172,7 @@ mod tests {
             &metrics,
             "montecarlo",
             7,
-            FlightOutcome::Ok(&routed),
+            &Outcome::Answer(Ok(routed)),
             Duration::from_micros(900),
         );
         let l1 = rx1.recv().expect("follower 1 answered");
@@ -182,12 +194,9 @@ mod tests {
         let metrics = ServerMetrics::new();
         assert_eq!(flight.join(3, dummy_waiter(0)), Flight::Leader);
         let rx = park(&flight, 3, 9, Instant::now() + Duration::from_secs(5));
-        let err = RouteError {
-            code: ErrorCode::BadRequest,
-            field: Some("trials".to_string()),
-            message: "trials must be positive".to_string(),
-        };
-        publish(&flight, &metrics, "montecarlo", 3, FlightOutcome::RouteErr(&err), Duration::ZERO);
+        let err = WireError::bad("trials", "trials must be positive");
+        let outcome = Outcome::Answer(Err(err));
+        publish(&flight, &metrics, "montecarlo", 3, &outcome, Duration::ZERO);
         let line = rx.recv().expect("answered");
         assert!(line.contains("\"code\":\"bad_request\""));
         assert!(line.contains("\"field\":\"trials\""));
@@ -202,7 +211,7 @@ mod tests {
         assert_eq!(flight.join(5, dummy_waiter(0)), Flight::Leader);
         let rx1 = park(&flight, 5, 21, Instant::now() + Duration::from_secs(5));
         let rx2 = park(&flight, 5, 22, Instant::now() + Duration::from_secs(5));
-        publish(&flight, &metrics, "sweep", 5, FlightOutcome::Panicked, Duration::ZERO);
+        publish(&flight, &metrics, "sweep", 5, &Outcome::Panicked, Duration::ZERO);
         for rx in [rx1, rx2] {
             let line = rx.recv().expect("follower answered, not hung");
             assert!(line.contains("\"code\":\"internal\""));
@@ -223,7 +232,7 @@ mod tests {
         // One follower already past its own deadline, one still live.
         let rx_dead = park(&flight, 8, 31, Instant::now() - Duration::from_millis(5));
         let rx_live = park(&flight, 8, 32, Instant::now() + Duration::from_secs(30));
-        publish(&flight, &metrics, "montecarlo", 8, FlightOutcome::Expired, Duration::ZERO);
+        publish(&flight, &metrics, "montecarlo", 8, &Outcome::Expired, Duration::ZERO);
         let dead = rx_dead.recv().expect("expired follower answered");
         assert!(dead.contains("\"code\":\"deadline_exceeded\""));
         let live = rx_live.recv().expect("live follower answered");
@@ -240,7 +249,7 @@ mod tests {
     fn publish_on_an_empty_key_is_a_quiet_no_op() {
         let flight: Inflight<Waiter> = Inflight::new();
         let metrics = ServerMetrics::new();
-        publish(&flight, &metrics, "sweep", 99, FlightOutcome::Panicked, Duration::ZERO);
+        publish(&flight, &metrics, "sweep", 99, &Outcome::Panicked, Duration::ZERO);
         let doc = metrics.to_json(0);
         let endpoints = doc.get("endpoints").expect("endpoints");
         assert!(endpoints.get("sweep").is_none(), "no metrics recorded");

@@ -29,6 +29,12 @@
 //!   parameter structs ([`proto::RequestBody`]) before they enter the
 //!   queue; `health` advertises [`proto::VERSION`] /
 //!   [`proto::MIN_VERSION`] and the v1 wire shape stays accepted.
+//! * **One endpoint table, one wire error** — each data endpoint's name,
+//!   decode, identity and execution are one impl on its parameter
+//!   struct, reached by one lookup from a name or a body; every failure
+//!   is one [`proto::WireError`] with one encoder, and a leader and its
+//!   single-flight followers get their lines from one
+//!   [`flight::Outcome::answer`].
 //! * **Poller front-end** — accepted sockets are multiplexed onto a
 //!   small nonblocking [`poller`] pool, so thread count is
 //!   `pollers + workers + 1` regardless of open connections (DESIGN.md
@@ -47,7 +53,8 @@
 //!   record into the [`obs`] registry; the `metrics_v2` endpoint serves
 //!   the Prometheus-style exposition.
 //!
-//! Protocol and endpoint reference live in [`proto`] and [`router`];
+//! Protocol and endpoint reference live in [`proto`], the endpoint
+//! impls (`endpoint.rs`) and [`router`];
 //! [`client`] is the matching typed client. `DESIGN.md` §8 documents
 //! the semantics.
 //!
@@ -80,9 +87,9 @@ pub mod queue;
 pub mod router;
 pub mod stats;
 
-use crate::flight::FlightOutcome;
+use crate::flight::Outcome;
 use crate::poller::PollerPool;
-use crate::proto::{err_response, err_response_fielded, ErrorCode, RequestBody};
+use crate::proto::RequestBody;
 use crate::queue::BoundedQueue;
 use crate::router::Router;
 use crate::stats::ServerMetrics;
@@ -95,9 +102,9 @@ use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Server tunables. The defaults serve the test/bench workloads; every
-/// knob exists so a test can force a specific failure mode (capacity 0
-/// → everything sheds, tiny deadlines → everything expires).
+/// Server tunables. The defaults serve the test/bench workloads. A test
+/// forces a failure mode through a knob (queue capacity 0 → everything
+/// sheds) or per request (a tiny `deadline_ms` → that request expires).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
@@ -114,9 +121,11 @@ pub struct ServerConfig {
     pub pool_workers: usize,
     /// Entry cap of each bounded result cache.
     pub cache_capacity: usize,
-    /// Deadline applied when a request carries no `deadline_ms`.
+    /// Deadline applied when a request carries no `deadline_ms`. Only
+    /// `Default` sets it; the benchmark reads it back into its report.
     pub default_deadline_ms: u64,
     /// Upper bound accepted for the `montecarlo` endpoint's `trials`.
+    /// Only `Default` sets it; the benchmark reads it back.
     pub mc_trial_cap: u64,
     /// Close a connection after this long with no request on it,
     /// milliseconds; `0` (the default) disables the timeout. A timed-out
@@ -298,87 +307,38 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, registrar: &poller:
     }
 }
 
-/// The worker loop: pop one job, expire-or-execute it, reply, resolve
-/// its flight. Exits when the queue is closed and drained.
+/// The worker loop: pop one job, expire-or-execute it, answer it and
+/// its flight's followers from the one [`Outcome`]. Exits when the
+/// queue is closed and drained.
 fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.queue.pop() {
         let endpoint = job.body.endpoint();
         let queued = job.enqueued.elapsed();
         obs::observe!("server.queue_wait", queued);
-        let queue_us = queued.as_micros() as u64;
-        if Instant::now() >= job.deadline {
-            // The deadline burned out while the job sat in the queue —
-            // executing it now would waste a worker on an answer nobody
-            // is waiting for.
-            shared.metrics.record_error(endpoint, ErrorCode::DeadlineExceeded);
-            let _ = job.reply.send(err_response(
-                job.id,
-                ErrorCode::DeadlineExceeded,
-                &format!("deadline expired after {queue_us} µs in queue"),
-            ));
-            if let Some(key) = job.flight_key {
-                // Followers are judged against their own deadlines
-                // (expired ones count `expired` exactly once; live ones
-                // are shed for a clean retry).
-                flight::publish(
-                    &shared.flight,
-                    &shared.metrics,
-                    endpoint,
-                    key,
-                    FlightOutcome::Expired,
-                    Duration::ZERO,
-                );
-            }
-            shared.wake_pollers();
-            continue;
-        }
-
         let started = Instant::now();
-        // `None` marks a handler panic, isolated here: this worker
+        // The deadline burned out while the job sat in the queue:
+        // executing it now would waste a worker on an answer nobody is
+        // waiting for. A handler panic is isolated here: this worker
         // thread survives and moves on.
-        let outcome = {
-            let _execute = obs::span!("server.execute");
-            std::panic::catch_unwind(AssertUnwindSafe(|| shared.router.handle_typed(&job.body)))
-                .ok()
+        let (outcome, service) = if started >= job.deadline {
+            (Outcome::Expired, Duration::ZERO)
+        } else {
+            let outcome = {
+                let _execute = obs::span!("server.execute");
+                let run = || shared.router.handle_typed(&job.body);
+                std::panic::catch_unwind(AssertUnwindSafe(run))
+                    .map_or(Outcome::Panicked, Outcome::Answer)
+            };
+            (outcome, started.elapsed())
         };
-        let service = started.elapsed();
-        let service_us = service.as_micros() as u64;
-
         let line = {
             let _encode = obs::span!("server.encode");
-            match &outcome {
-                Some(Ok(routed)) => {
-                    shared.metrics.record_ok(
-                        endpoint,
-                        service,
-                        routed.cache_hits,
-                        routed.cache_misses,
-                    );
-                    proto::ok_response_checked(job.id, routed.result.clone(), queue_us, service_us)
-                }
-                Some(Err(route_err)) => {
-                    shared.metrics.record_error(endpoint, route_err.code);
-                    err_response_fielded(
-                        job.id,
-                        route_err.code,
-                        &route_err.message,
-                        route_err.field.as_deref(),
-                    )
-                }
-                None => {
-                    shared.metrics.record_error(endpoint, ErrorCode::Internal);
-                    err_response(job.id, ErrorCode::Internal, "handler panicked; request isolated")
-                }
-            }
+            let queue_us = queued.as_micros() as u64;
+            outcome.answer(&shared.metrics, endpoint, job.id, queue_us, service, None)
         };
         let _ = job.reply.send(line);
         if let Some(key) = job.flight_key {
-            let flight_outcome = match &outcome {
-                Some(Ok(routed)) => FlightOutcome::Ok(routed),
-                Some(Err(route_err)) => FlightOutcome::RouteErr(route_err),
-                None => FlightOutcome::Panicked,
-            };
-            flight::publish(&shared.flight, &shared.metrics, endpoint, key, flight_outcome, service);
+            flight::publish(&shared.flight, &shared.metrics, endpoint, key, &outcome, service);
         }
         shared.wake_pollers();
     }

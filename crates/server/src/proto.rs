@@ -23,8 +23,11 @@
 //! ([`Fig11Params`], [`FullchainParams`], [`MontecarloParams`],
 //! [`SweepParams`], [`PatientdayParams`], [`CohortParams`]) whose
 //! fields are validated — type, finiteness, range — before any
-//! simulation starts. Every rejection is a [`DecodeError`] naming the
-//! offending field, which the response carries as `error.field`.
+//! simulation starts. Each data endpoint's decoder lives with the rest
+//! of that endpoint, in its `DataEndpoint` impl (`endpoint.rs`); this
+//! module holds the wire types and the one lookup from a name or a body
+//! to that impl. Every rejection is a [`WireError`] naming the offending
+//! field, which the response carries as `error.field`.
 //!
 //! Responses echo `id` and carry either a `result` or a structured
 //! `error`:
@@ -34,8 +37,8 @@
 //! {"id":7,"ok":false,"error":{"code":"bad_request","field":"steps","message":"…"}}
 //! ```
 
-use crate::endpoint::CachedEndpoint;
-use implant_core::montecarlo::VariationModel;
+use crate::endpoint::{Data, ENDPOINTS};
+use implant_core::cosim::CosimError;
 use runtime::Json;
 
 /// Current protocol version. Bump when the wire shape gains
@@ -46,14 +49,15 @@ pub const VERSION: u64 = 2;
 /// decodes through the same typed path — `v` was simply absent).
 pub const MIN_VERSION: u64 = 1;
 
-/// The data-plane endpoints (the ones that go through the bounded
-/// queue).
-pub const DATA_ENDPOINTS: [&str; 6] =
-    ["fig11", "fullchain", "montecarlo", "sweep", "patientday", "cohort"];
-
 /// The control-plane endpoints, answered inline by the connection
-/// thread even when the data plane is saturated.
-pub const CONTROL_ENDPOINTS: [&str; 4] = ["health", "metrics", "metrics_v2", "shutdown"];
+/// thread even when the data plane is saturated. (The data-plane ones
+/// are the endpoint table's rows.)
+const CONTROL: [(&str, RequestBody); 4] = [
+    ("health", RequestBody::Health),
+    ("metrics", RequestBody::Metrics),
+    ("metrics_v2", RequestBody::MetricsV2),
+    ("shutdown", RequestBody::Shutdown),
+];
 
 /// Machine-readable error classes. The string forms are the wire
 /// contract (`error.code`) — clients dispatch on them, so they are
@@ -103,11 +107,12 @@ impl ErrorCode {
     }
 }
 
-/// A structured decode failure: the wire code, a human-readable
-/// message, and — whenever one request field is to blame — that field's
-/// name, carried on the wire as `error.field`.
+/// A structured failure, the one error of the wire: the code, a
+/// human-readable message, and — whenever one request field is to
+/// blame — that field's name, carried on the wire as `error.field`.
+/// Decoding, routing, simulation and admission all fail with it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecodeError {
+pub struct WireError {
     /// Error class for `error.code`.
     pub code: ErrorCode,
     /// The offending request/parameter field, when one is identifiable.
@@ -116,20 +121,39 @@ pub struct DecodeError {
     pub message: String,
 }
 
-impl DecodeError {
+impl WireError {
+    /// An error with no single field to blame.
+    pub fn new(code: ErrorCode, message: impl Into<String>) -> Self {
+        WireError { code, field: None, message: message.into() }
+    }
+
     /// A `bad_request` blaming `field`.
     pub fn bad(field: &str, message: impl Into<String>) -> Self {
-        DecodeError {
+        WireError {
             code: ErrorCode::BadRequest,
             field: Some(field.to_string()),
             message: message.into(),
         }
     }
 
-    /// A `bad_request` with no single field to blame (malformed JSON,
-    /// non-object document).
-    pub fn malformed(message: impl Into<String>) -> Self {
-        DecodeError { code: ErrorCode::BadRequest, field: None, message: message.into() }
+    /// A numerical failure of the model for the request's parameters
+    /// (`simulation_failed`); the message keeps the engine's own
+    /// diagnostic — the failing domain, `t` and `dt`.
+    pub fn simulation_failed(e: impl std::fmt::Display) -> Self {
+        WireError::new(ErrorCode::SimulationFailed, format!("simulation failed: {e}"))
+    }
+}
+
+/// A co-simulation failure is `simulation_failed`, except a caught
+/// domain panic, which stays `internal` like every other panic.
+impl From<CosimError> for WireError {
+    fn from(e: CosimError) -> Self {
+        match e {
+            CosimError::Panicked { .. } => {
+                WireError::new(ErrorCode::Internal, format!("simulation failed: {e}"))
+            }
+            e => WireError::simulation_failed(e),
+        }
     }
 }
 
@@ -180,29 +204,29 @@ impl Request {
     ///
     /// # Errors
     ///
-    /// A [`DecodeError`] describing the first problem found: invalid
+    /// A [`WireError`] describing the first problem found: invalid
     /// JSON, a non-object document, a missing/mistyped field, or an
     /// unsupported `v`.
-    pub fn decode_line(line: &str) -> Result<Request, DecodeError> {
-        let doc = Json::parse(line)
-            .ok_or_else(|| DecodeError::malformed("invalid JSON (or trailing garbage)"))?;
+    pub fn decode_line(line: &str) -> Result<Request, WireError> {
+        let malformed = |message| WireError::new(ErrorCode::BadRequest, message);
+        let doc = Json::parse(line).ok_or_else(|| malformed("invalid JSON (or trailing garbage)"))?;
         if !matches!(doc, Json::Obj(_)) {
-            return Err(DecodeError::malformed("request must be a JSON object"));
+            return Err(malformed("request must be a JSON object"));
         }
         let endpoint = doc
             .get("endpoint")
-            .ok_or_else(|| DecodeError::bad("endpoint", "missing \"endpoint\""))?
+            .ok_or_else(|| WireError::bad("endpoint", "missing \"endpoint\""))?
             .as_str()
-            .ok_or_else(|| DecodeError::bad("endpoint", "\"endpoint\" must be a string"))?
+            .ok_or_else(|| WireError::bad("endpoint", "\"endpoint\" must be a string"))?
             .to_string();
         let version = match doc.get("v") {
             None => None,
             Some(v) => {
                 let v = v
                     .as_u64()
-                    .ok_or_else(|| DecodeError::bad("v", "\"v\" must be a positive integer"))?;
+                    .ok_or_else(|| WireError::bad("v", "\"v\" must be a positive integer"))?;
                 if !(MIN_VERSION..=VERSION).contains(&v) {
-                    return Err(DecodeError::bad(
+                    return Err(WireError::bad(
                         "v",
                         format!(
                             "unsupported protocol version {v} (supported {MIN_VERSION}..={VERSION})"
@@ -216,18 +240,18 @@ impl Request {
             None => 0,
             Some(v) => v
                 .as_u64()
-                .ok_or_else(|| DecodeError::bad("id", "\"id\" must be a non-negative integer"))?,
+                .ok_or_else(|| WireError::bad("id", "\"id\" must be a non-negative integer"))?,
         };
         let deadline_ms = match doc.get("deadline_ms") {
             None => None,
             Some(v) => Some(v.as_u64().ok_or_else(|| {
-                DecodeError::bad("deadline_ms", "\"deadline_ms\" must be a non-negative integer")
+                WireError::bad("deadline_ms", "\"deadline_ms\" must be a non-negative integer")
             })?),
         };
         let params = match doc.get("params") {
             None => Json::Obj(Vec::new()),
             Some(p @ Json::Obj(_)) => p.clone(),
-            Some(_) => return Err(DecodeError::bad("params", "\"params\" must be an object")),
+            Some(_) => return Err(WireError::bad("params", "\"params\" must be an object")),
         };
         Ok(Request { id, endpoint, version, deadline_ms, params })
     }
@@ -243,6 +267,16 @@ pub enum Fig11Preset {
     Short,
     /// The paper's full 1.5 ms timeline.
     Paper,
+}
+
+impl Fig11Preset {
+    /// The wire name (also the identity point's `preset` value).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Fig11Preset::Short => "short",
+            Fig11Preset::Paper => "paper",
+        }
+    }
 }
 
 /// Typed parameters of the `fig11` endpoint.
@@ -265,31 +299,6 @@ pub struct Fig11Params {
     pub cosim: bool,
 }
 
-impl Fig11Params {
-    /// Decodes and validates from a raw `params` object.
-    ///
-    /// # Errors
-    ///
-    /// A field-naming [`DecodeError`] on any mistyped or out-of-range
-    /// parameter.
-    pub fn decode(params: &Json) -> Result<Self, DecodeError> {
-        let preset = match opt_str(params, "preset")?.unwrap_or("short") {
-            "short" => Fig11Preset::Short,
-            "paper" => Fig11Preset::Paper,
-            other => return Err(DecodeError::bad("preset", format!("unknown preset {other:?}"))),
-        };
-        Ok(Fig11Params {
-            preset,
-            idle_amplitude: opt_f64(params, "idle_amplitude", 0.5, 20.0)?,
-            r_source: opt_f64(params, "r_source", 1.0, 10.0e3)?,
-            r_load: opt_f64(params, "r_load", 10.0, 1.0e6)?,
-            t_stop_us: opt_f64(params, "t_stop_us", 1.0, 2000.0)?,
-            max_step_ns: opt_f64(params, "max_step_ns", 1.0, 1000.0)?,
-            cosim: opt_bool(params, "cosim")?.unwrap_or(false),
-        })
-    }
-}
-
 /// Typed parameters of the `fullchain` endpoint.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FullchainParams {
@@ -304,23 +313,6 @@ pub struct FullchainParams {
     pub cosim: bool,
 }
 
-impl FullchainParams {
-    /// Decodes and validates from a raw `params` object.
-    ///
-    /// # Errors
-    ///
-    /// A field-naming [`DecodeError`] on any mistyped or out-of-range
-    /// parameter.
-    pub fn decode(params: &Json) -> Result<Self, DecodeError> {
-        Ok(FullchainParams {
-            distance_mm: opt_f64(params, "distance_mm", 1.0, 50.0)?.unwrap_or(10.0),
-            r_load: opt_f64(params, "r_load", 10.0, 1.0e6)?,
-            cycles: opt_u64(params, "cycles", 10, 2000)?.unwrap_or(120),
-            cosim: opt_bool(params, "cosim")?.unwrap_or(false),
-        })
-    }
-}
-
 /// Typed parameters of the `montecarlo` endpoint.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MontecarloParams {
@@ -331,33 +323,6 @@ pub struct MontecarloParams {
     pub trials: u64,
     /// Study seed override.
     pub seed: Option<u64>,
-}
-
-impl MontecarloParams {
-    /// Decodes and validates from a raw `params` object.
-    ///
-    /// # Errors
-    ///
-    /// A field-naming [`DecodeError`] on any mistyped or out-of-range
-    /// parameter (including a `trials` beyond the server's cap).
-    pub fn decode(params: &Json, limits: &DecodeLimits) -> Result<Self, DecodeError> {
-        // The typical model's passives draw `1 ± tol·scale` (uniform), so
-        // from `1 / tol` on a trial can draw a non-positive R or C.
-        let typical = VariationModel::typical_018um();
-        let limit = 1.0 / typical.capacitor_tolerance.max(typical.resistance_tolerance);
-        let scale = opt_f64(params, "scale", 0.0, limit)?.unwrap_or(1.0);
-        if scale >= limit {
-            return Err(DecodeError::bad(
-                "scale",
-                format!("\"scale\" = {scale} must stay below {limit} (non-positive R or C draws)"),
-            ));
-        }
-        Ok(MontecarloParams {
-            scale,
-            trials: opt_u64(params, "trials", 1, limits.mc_trial_cap)?.unwrap_or(1000),
-            seed: opt_u64(params, "seed", 0, u64::MAX)?,
-        })
-    }
 }
 
 /// `sweep` propagation medium.
@@ -394,41 +359,6 @@ pub struct SweepParams {
     pub medium: SweepMedium,
 }
 
-impl SweepParams {
-    /// Decodes and validates from a raw `params` object.
-    ///
-    /// # Errors
-    ///
-    /// A field-naming [`DecodeError`] on any mistyped or out-of-range
-    /// parameter, or an inverted distance range.
-    pub fn decode(params: &Json) -> Result<Self, DecodeError> {
-        let d_min_mm = opt_f64(params, "d_min_mm", 0.5, 100.0)?.unwrap_or(2.0);
-        let d_max_mm = opt_f64(params, "d_max_mm", 0.5, 100.0)?.unwrap_or(30.0);
-        if d_max_mm < d_min_mm {
-            return Err(DecodeError::bad(
-                "d_max_mm",
-                format!("d_max_mm {d_max_mm} < d_min_mm {d_min_mm}"),
-            ));
-        }
-        let medium = match opt_str(params, "medium")?.unwrap_or("air") {
-            "air" => SweepMedium::Air,
-            "sirloin" => SweepMedium::Sirloin,
-            other => {
-                return Err(DecodeError::bad(
-                    "medium",
-                    format!("unknown medium {other:?} (air | sirloin)"),
-                ))
-            }
-        };
-        Ok(SweepParams {
-            d_min_mm,
-            d_max_mm,
-            steps: opt_u64(params, "steps", 2, 64)?.unwrap_or(8),
-            medium,
-        })
-    }
-}
-
 /// Typed parameters of the `patientday` endpoint: one seeded day on
 /// the patch for a given battery, segment profile and coil placement.
 #[derive(Debug, Clone, PartialEq)]
@@ -452,47 +382,6 @@ pub struct PatientdayParams {
 }
 
 impl PatientdayParams {
-    /// Decodes and validates from a raw `params` object.
-    ///
-    /// # Errors
-    ///
-    /// A field-naming [`DecodeError`] on any mistyped or out-of-range
-    /// parameter.
-    pub fn decode(params: &Json) -> Result<Self, DecodeError> {
-        let tissue = match opt_str(params, "tissue")?.unwrap_or("subcutaneous") {
-            "air" => scenario::Tissue::Air,
-            "sirloin" => scenario::Tissue::Sirloin,
-            "subcutaneous" => scenario::Tissue::Subcutaneous,
-            other => {
-                return Err(DecodeError::bad(
-                    "tissue",
-                    format!("unknown tissue {other:?} (air | sirloin | subcutaneous)"),
-                ))
-            }
-        };
-        let profile = match opt_str(params, "profile")?.unwrap_or("routine") {
-            "routine" => scenario::DayProfile::Routine,
-            "sensing" => scenario::DayProfile::Sensing,
-            "idle" => scenario::DayProfile::Idle,
-            other => {
-                return Err(DecodeError::bad(
-                    "profile",
-                    format!("unknown profile {other:?} (routine | sensing | idle)"),
-                ))
-            }
-        };
-        Ok(PatientdayParams {
-            seed: opt_u64(params, "seed", 0, u64::MAX)?.unwrap_or(scenario::DEFAULT_SEED),
-            hours: opt_f64(params, "hours", 0.5, 48.0)?.unwrap_or(24.0),
-            battery_mah: opt_f64(params, "battery_mah", 10.0, 500.0)?.unwrap_or(120.0),
-            depth_mm: opt_f64(params, "depth_mm", 1.0, 30.0)?.unwrap_or(6.0),
-            drift_mm: opt_f64(params, "drift_mm", 0.0, 5.0)?.unwrap_or(2.0),
-            lateral_mm: opt_f64(params, "lateral_mm", 0.0, 10.0)?.unwrap_or(1.0),
-            tissue,
-            profile,
-        })
-    }
-
     /// The simulation this request describes. Management is always on
     /// (the serving plane simulates the shipped firmware); the 30 s
     /// step matches the scenario crate's golden-band tests.
@@ -534,51 +423,6 @@ pub struct CohortParams {
 }
 
 impl CohortParams {
-    /// Decodes and validates from a raw `params` object.
-    ///
-    /// # Errors
-    ///
-    /// A field-naming [`DecodeError`] on any mistyped or out-of-range
-    /// parameter, including the joint patient-hours cost cap.
-    pub fn decode(params: &Json, limits: &DecodeLimits) -> Result<Self, DecodeError> {
-        let enzyme_str = opt_str(params, "enzyme")?.unwrap_or("mixed");
-        let enzyme = scenario::EnzymeChoice::parse(enzyme_str).ok_or_else(|| {
-            DecodeError::bad(
-                "enzyme",
-                format!("unknown enzyme {enzyme_str:?} (clodx | wtlodx | mixed)"),
-            )
-        })?;
-        let patients =
-            opt_u64(params, "patients", 1, limits.cohort_patient_cap)?.unwrap_or(100);
-        let hours = opt_f64(params, "hours", 0.5, 48.0)?.unwrap_or(24.0);
-        let cost = patients as f64 * hours;
-        if cost > limits.cohort_patient_hours_cap {
-            return Err(DecodeError::bad(
-                "patients",
-                format!(
-                    "patients × hours = {cost:.0} patient-hours exceeds the cap of {:.0}",
-                    limits.cohort_patient_hours_cap
-                ),
-            ));
-        }
-        let duty_min = opt_f64(params, "duty_min", 0.01, 1.0)?.unwrap_or(1.0);
-        let duty_max = opt_f64(params, "duty_max", 0.01, 1.0)?.unwrap_or(1.0);
-        if duty_max < duty_min {
-            return Err(DecodeError::bad(
-                "duty_max",
-                format!("duty_max {duty_max} < duty_min {duty_min}"),
-            ));
-        }
-        Ok(CohortParams {
-            seed: opt_u64(params, "seed", 0, u64::MAX)?.unwrap_or(scenario::DEFAULT_SEED),
-            patients,
-            offset: opt_u64(params, "offset", 0, 1_000_000_000)?.unwrap_or(0),
-            hours,
-            enzyme,
-            duty: (duty_min, duty_max),
-        })
-    }
-
     /// The campaign shard this request describes.
     pub fn to_cohort(&self) -> scenario::Cohort {
         scenario::Cohort {
@@ -620,129 +464,71 @@ pub enum RequestBody {
 }
 
 impl RequestBody {
-    /// Decodes `params` for `endpoint` into a typed body.
+    /// Decodes `params` for `endpoint` into a typed body: one lookup in
+    /// the endpoint table, then in the control list.
     ///
     /// # Errors
     ///
     /// `unknown_endpoint` for an unrouted name, otherwise the
-    /// parameter-level [`DecodeError`].
-    pub fn decode(endpoint: &str, params: &Json, limits: &DecodeLimits) -> Result<Self, DecodeError> {
-        match endpoint {
-            "health" => Ok(RequestBody::Health),
-            "metrics" => Ok(RequestBody::Metrics),
-            "metrics_v2" => Ok(RequestBody::MetricsV2),
-            "shutdown" => Ok(RequestBody::Shutdown),
-            "fig11" => Fig11Params::decode(params).map(RequestBody::Fig11),
-            "fullchain" => FullchainParams::decode(params).map(RequestBody::Fullchain),
-            "montecarlo" => {
-                MontecarloParams::decode(params, limits).map(RequestBody::Montecarlo)
-            }
-            "sweep" => SweepParams::decode(params).map(RequestBody::Sweep),
-            "patientday" => PatientdayParams::decode(params).map(RequestBody::Patientday),
-            "cohort" => CohortParams::decode(params, limits).map(RequestBody::Cohort),
-            other => Err(DecodeError {
-                code: ErrorCode::UnknownEndpoint,
-                field: Some("endpoint".to_string()),
-                message: format!(
-                    "no endpoint {other:?} (data: {DATA_ENDPOINTS:?}; control: {CONTROL_ENDPOINTS:?})"
-                ),
-            }),
+    /// parameter-level [`WireError`].
+    pub fn decode(endpoint: &str, params: &Json, limits: &DecodeLimits) -> Result<Self, WireError> {
+        if let Some(row) = ENDPOINTS.iter().find(|row| row.name == endpoint) {
+            return (row.decode)(params, limits);
+        }
+        let control = CONTROL.iter().find(|(name, _)| *name == endpoint);
+        control.map(|(_, body)| body.clone()).ok_or_else(|| WireError {
+            code: ErrorCode::UnknownEndpoint,
+            field: Some("endpoint".to_string()),
+            message: format!(
+                "no endpoint {endpoint:?} (data: {:?}; control: {:?})",
+                ENDPOINTS.map(|row| row.name),
+                CONTROL.map(|(name, _)| name),
+            ),
+        })
+    }
+
+    /// The one projection from a body onto its endpoint: a data body's
+    /// `DataEndpoint` impl, `None` for the control plane.
+    pub(crate) fn data(&self) -> Option<&dyn Data> {
+        match self {
+            RequestBody::Fig11(p) => Some(p),
+            RequestBody::Fullchain(p) => Some(p),
+            RequestBody::Montecarlo(p) => Some(p),
+            RequestBody::Sweep(p) => Some(p),
+            RequestBody::Patientday(p) => Some(p),
+            RequestBody::Cohort(p) => Some(p),
+            RequestBody::Health
+            | RequestBody::Metrics
+            | RequestBody::MetricsV2
+            | RequestBody::Shutdown => None,
         }
     }
 
     /// The endpoint name this body answers to.
     pub fn endpoint(&self) -> &'static str {
-        match self {
-            RequestBody::Health => "health",
-            RequestBody::Metrics => "metrics",
-            RequestBody::MetricsV2 => "metrics_v2",
-            RequestBody::Shutdown => "shutdown",
-            RequestBody::Fig11(_) => "fig11",
-            RequestBody::Fullchain(_) => "fullchain",
-            RequestBody::Montecarlo(_) => "montecarlo",
-            RequestBody::Sweep(_) => "sweep",
-            RequestBody::Patientday(_) => "patientday",
-            RequestBody::Cohort(_) => "cohort",
+        match self.data() {
+            Some(data) => data.name(),
+            None => {
+                let control = CONTROL.iter().find(|(_, body)| body == self);
+                control.expect("every control body is listed").0
+            }
         }
     }
 
-    /// The routing identity of a data-plane body: a cache namespace
-    /// plus a canonical [`ParamPoint`], hashable with
-    /// [`runtime::cache_key`] for shard placement. Control bodies have
-    /// no routing identity (`None`) — a cluster answers them anywhere.
+    /// The routing identity of a data-plane body: namespace
+    /// `server-<endpoint>` plus the canonical [`runtime::ParamPoint`]
+    /// with every default applied, hashable with [`runtime::cache_key`]
+    /// for shard placement. Control bodies have no routing identity
+    /// (`None`) — a cluster answers them anywhere.
     ///
-    /// For `montecarlo`, `sweep`, `patientday` and `cohort` the pair is
-    /// *exactly* the server's result-cache identity (namespace
-    /// `server-<endpoint>`, every default applied): both come from the
-    /// endpoint's one `CachedEndpoint::identity`, so identical requests
-    /// land on the replica that already holds the cached result and hit
-    /// it warm. `fig11` and `fullchain` return their full request
-    /// identity: deterministic placement, and repeated requests colocate
-    /// with any per-point cache entries they populated.
+    /// For the cached endpoints the pair is *exactly* the server's
+    /// result-cache identity — both are the endpoint impl's one
+    /// identity — so identical requests land on the replica that
+    /// already holds the cached result and hit it warm. For the
+    /// uncached `fig11` and `fullchain` it gives deterministic
+    /// placement.
     pub fn route_point(&self) -> Option<(&'static str, runtime::ParamPoint)> {
-        use runtime::ParamPoint;
-        match self {
-            RequestBody::Health
-            | RequestBody::Metrics
-            | RequestBody::MetricsV2
-            | RequestBody::Shutdown => None,
-            RequestBody::Fig11(p) => {
-                let preset = match p.preset {
-                    Fig11Preset::Short => "short",
-                    Fig11Preset::Paper => "paper",
-                };
-                let mut point = ParamPoint::new().with("preset", preset);
-                if let Some(v) = p.idle_amplitude {
-                    point = point.with("idle_amplitude", v);
-                }
-                if let Some(v) = p.r_source {
-                    point = point.with("r_source", v);
-                }
-                if let Some(v) = p.r_load {
-                    point = point.with("r_load", v);
-                }
-                if let Some(v) = p.t_stop_us {
-                    point = point.with("t_stop_us", v);
-                }
-                if let Some(v) = p.max_step_ns {
-                    point = point.with("max_step_ns", v);
-                }
-                // Engine choice is part of the request identity, but
-                // only when it deviates from the default — existing
-                // cache keys stay stable.
-                if p.cosim {
-                    point = point.with("cosim", 1u64);
-                }
-                Some(("server-fig11", point))
-            }
-            RequestBody::Fullchain(p) => {
-                let mut point = ParamPoint::new()
-                    .with("distance_mm", p.distance_mm)
-                    .with("cycles", p.cycles);
-                if let Some(v) = p.r_load {
-                    point = point.with("r_load", v);
-                }
-                if p.cosim {
-                    point = point.with("cosim", 1u64);
-                }
-                Some(("server-fullchain", point))
-            }
-            RequestBody::Montecarlo(p) => Some(p.identity()),
-            RequestBody::Sweep(p) => Some(p.identity()),
-            RequestBody::Patientday(p) => Some(p.identity()),
-            RequestBody::Cohort(p) => Some(p.identity()),
-        }
-    }
-
-    /// True for control-plane bodies (answered inline, never queued).
-    pub fn is_control(&self) -> bool {
-        matches!(
-            self,
-            RequestBody::Health
-                | RequestBody::Metrics
-                | RequestBody::MetricsV2
-                | RequestBody::Shutdown
-        )
+        self.data().map(|data| data.identity())
     }
 }
 
@@ -766,8 +552,8 @@ impl TypedRequest {
     ///
     /// # Errors
     ///
-    /// The first [`DecodeError`] from either decoding layer.
-    pub fn decode_line(line: &str, limits: &DecodeLimits) -> Result<TypedRequest, DecodeError> {
+    /// The first [`WireError`] from either decoding layer.
+    pub fn decode_line(line: &str, limits: &DecodeLimits) -> Result<TypedRequest, WireError> {
         let envelope = Request::decode_line(line)?;
         let body = RequestBody::decode(&envelope.endpoint, &envelope.params, limits)?;
         Ok(TypedRequest {
@@ -776,68 +562,6 @@ impl TypedRequest {
             deadline_ms: envelope.deadline_ms,
             body,
         })
-    }
-}
-
-// ---- shared field validators ------------------------------------------
-
-/// Optional float parameter with an inclusive validity range.
-fn opt_f64(params: &Json, key: &str, min: f64, max: f64) -> Result<Option<f64>, DecodeError> {
-    match params.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => {
-            let v = v
-                .as_f64()
-                .ok_or_else(|| DecodeError::bad(key, format!("{key:?} must be a number")))?;
-            if !v.is_finite() || v < min || v > max {
-                return Err(DecodeError::bad(
-                    key,
-                    format!("{key:?} = {v} outside [{min}, {max}]"),
-                ));
-            }
-            Ok(Some(v))
-        }
-    }
-}
-
-/// Optional boolean parameter.
-fn opt_bool(params: &Json, key: &str) -> Result<Option<bool>, DecodeError> {
-    match params.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => v
-            .as_bool()
-            .map(Some)
-            .ok_or_else(|| DecodeError::bad(key, format!("{key:?} must be a boolean"))),
-    }
-}
-
-/// Optional unsigned-integer parameter with an inclusive validity range.
-fn opt_u64(params: &Json, key: &str, min: u64, max: u64) -> Result<Option<u64>, DecodeError> {
-    match params.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => {
-            let v = v.as_u64().ok_or_else(|| {
-                DecodeError::bad(key, format!("{key:?} must be a non-negative integer"))
-            })?;
-            if v < min || v > max {
-                return Err(DecodeError::bad(
-                    key,
-                    format!("{key:?} = {v} outside [{min}, {max}]"),
-                ));
-            }
-            Ok(Some(v))
-        }
-    }
-}
-
-/// Optional string parameter.
-fn opt_str<'a>(params: &'a Json, key: &str) -> Result<Option<&'a str>, DecodeError> {
-    match params.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => v
-            .as_str()
-            .map(Some)
-            .ok_or_else(|| DecodeError::bad(key, format!("{key:?} must be a string"))),
     }
 }
 
@@ -866,26 +590,23 @@ pub fn ok_response_checked(id: u64, result: Json, queue_us: u64, service_us: u64
         None => ok_response(id, result, queue_us, service_us),
         Some(path) => err_response(
             id,
-            ErrorCode::Internal,
-            &format!("result contains a non-finite number at {path}"),
+            &WireError::new(
+                ErrorCode::Internal,
+                format!("result contains a non-finite number at {path}"),
+            ),
         ),
     }
 }
 
-/// Encodes an error response line (without the trailing newline).
-pub fn err_response(id: u64, code: ErrorCode, message: &str) -> String {
-    err_response_fielded(id, code, message, None)
-}
-
-/// Encodes an error response line whose `error` object names the
-/// offending request field (omitted when `field` is `None`, keeping v1
-/// responses byte-compatible).
-pub fn err_response_fielded(id: u64, code: ErrorCode, message: &str, field: Option<&str>) -> String {
-    let mut error = vec![("code", Json::Str(code.as_str().to_string()))];
-    if let Some(field) = field {
-        error.push(("field", Json::Str(field.to_string())));
+/// Encodes the error response line for `err` (without the trailing
+/// newline): the one error encoder. The `error` object carries `field`
+/// only when one is named, keeping unfielded lines byte-compatible.
+pub fn err_response(id: u64, err: &WireError) -> String {
+    let mut error = vec![("code", Json::Str(err.code.as_str().to_string()))];
+    if let Some(field) = &err.field {
+        error.push(("field", Json::Str(field.clone())));
     }
-    error.push(("message", Json::Str(message.to_string())));
+    error.push(("message", Json::Str(err.message.clone())));
     Json::obj(vec![
         ("id", Json::Num(id as f64)),
         ("ok", Json::Bool(false)),
@@ -894,14 +615,10 @@ pub fn err_response_fielded(id: u64, code: ErrorCode, message: &str, field: Opti
     .to_string()
 }
 
-/// Encodes the error response for a [`DecodeError`].
-pub fn decode_err_response(id: u64, err: &DecodeError) -> String {
-    err_response_fielded(id, err.code, &err.message, err.field.as_deref())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::endpoint::DataEndpoint;
 
     #[test]
     fn checked_response_degrades_non_finite_results_to_structured_errors() {
@@ -985,7 +702,7 @@ mod tests {
         assert_eq!(doc.get("id").and_then(Json::as_u64), Some(7));
         assert_eq!(doc.get("result").and_then(|r| r.get("x")).and_then(Json::as_f64), Some(1.0));
 
-        let err = err_response(9, ErrorCode::Overloaded, "queue full (cap 64)");
+        let err = err_response(9, &WireError::new(ErrorCode::Overloaded, "queue full (cap 64)"));
         let doc = Json::parse(&err).unwrap();
         assert_eq!(doc.get("ok"), Some(&Json::Bool(false)));
         let code = doc.get("error").and_then(|e| e.get("code")).and_then(Json::as_str);
@@ -1175,13 +892,13 @@ mod tests {
 
     #[test]
     fn fielded_error_responses_carry_the_field_and_plain_ones_do_not() {
-        let line = decode_err_response(3, &DecodeError::bad("steps", "\"steps\" = 1 outside"));
+        let line = err_response(3, &WireError::bad("steps", "\"steps\" = 1 outside"));
         let doc = Json::parse(&line).unwrap();
         let error = doc.get("error").unwrap();
         assert_eq!(error.get("code").and_then(Json::as_str), Some("bad_request"));
         assert_eq!(error.get("field").and_then(Json::as_str), Some("steps"));
 
-        let line = err_response(3, ErrorCode::Internal, "boom");
+        let line = err_response(3, &WireError::new(ErrorCode::Internal, "boom"));
         let doc = Json::parse(&line).unwrap();
         assert_eq!(doc.get("error").unwrap().get("field"), None, "no field key when unknown");
     }
@@ -1229,12 +946,12 @@ mod tests {
     #[test]
     fn route_points_exist_exactly_for_the_data_plane() {
         let limits = DecodeLimits::default();
-        for name in DATA_ENDPOINTS {
+        for name in ENDPOINTS.map(|row| row.name) {
             let body = RequestBody::decode(name, &Json::Obj(Vec::new()), &limits).unwrap();
             let (ns, _) = body.route_point().expect("data bodies have a routing identity");
             assert_eq!(ns, format!("server-{name}"), "{name}");
         }
-        for name in CONTROL_ENDPOINTS {
+        for name in CONTROL.map(|(name, _)| name) {
             let body = RequestBody::decode(name, &Json::Obj(Vec::new()), &limits).unwrap();
             assert!(body.route_point().is_none(), "{name} must not route by key");
         }
@@ -1338,10 +1055,11 @@ mod tests {
     #[test]
     fn request_body_maps_back_to_its_endpoint_name() {
         let limits = DecodeLimits::default();
-        for name in DATA_ENDPOINTS.iter().chain(CONTROL_ENDPOINTS.iter()) {
+        let control = CONTROL.map(|(name, _)| name);
+        for name in ENDPOINTS.map(|row| row.name).into_iter().chain(control) {
             let body = RequestBody::decode(name, &Json::Obj(Vec::new()), &limits).unwrap();
-            assert_eq!(body.endpoint(), *name);
-            assert_eq!(body.is_control(), CONTROL_ENDPOINTS.contains(name));
+            assert_eq!(body.endpoint(), name);
+            assert_eq!(body.route_point().is_none(), control.contains(&name));
         }
     }
 }

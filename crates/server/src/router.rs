@@ -11,79 +11,17 @@
 //! service time).
 //!
 //! [`Router::handle_typed`] is the router's one entry point: one body,
-//! one execution.
-//!
-//! The four cached endpoints are written once each, as `CachedEndpoint`
-//! impls, and reached through one table (`ENDPOINTS`).
+//! one lookup of its endpoint impl, one execution. The six data
+//! endpoints are written once each, as `DataEndpoint` impls
+//! (`endpoint.rs`); the four cached ones run through [`Router`]'s one
+//! generic cached path.
 
 use crate::endpoint::{CachedEndpoint, Caches};
-use crate::proto::{
-    CohortParams, DecodeError, DecodeLimits, ErrorCode, Fig11Params, Fig11Preset,
-    FullchainParams, MontecarloParams, PatientdayParams, RequestBody, SweepParams,
-};
-use implant_core::cosim::{CalibrationCache, CosimError};
-use implant_core::fullchain::FullChainScenario;
-use implant_core::scenario::Fig11Scenario;
-use runtime::{Artifact, Batch, JobOutcome, Json, Pool};
+use crate::proto::{DecodeLimits, ErrorCode, RequestBody, WireError};
+use implant_core::cosim::CalibrationCache;
+use runtime::{Batch, JobOutcome, Json, Pool};
 use std::sync::Arc;
 use store::{CatchupBudget, Store};
-
-pub use crate::proto::DATA_ENDPOINTS;
-
-/// A routed failure: the wire code plus a human-readable message and,
-/// when one request field is to blame, its name.
-#[derive(Debug, Clone)]
-pub struct RouteError {
-    /// Error class for the response's `error.code`.
-    pub code: ErrorCode,
-    /// Offending parameter for the response's `error.field`, when
-    /// identifiable.
-    pub field: Option<String>,
-    /// Diagnostic for `error.message`.
-    pub message: String,
-}
-
-impl RouteError {
-    fn bad_field(field: &str, message: impl Into<String>) -> Self {
-        RouteError {
-            code: ErrorCode::BadRequest,
-            field: Some(field.to_string()),
-            message: message.into(),
-        }
-    }
-
-    fn internal(message: impl Into<String>) -> Self {
-        RouteError { code: ErrorCode::Internal, field: None, message: message.into() }
-    }
-
-    /// A numerical failure of the model for the request's parameters
-    /// (`simulation_failed`); the message keeps the engine's own
-    /// diagnostic — the failing domain, `t` and `dt`.
-    pub fn simulation_failed(e: impl std::fmt::Display) -> Self {
-        RouteError {
-            code: ErrorCode::SimulationFailed,
-            field: None,
-            message: format!("simulation failed: {e}"),
-        }
-    }
-}
-
-/// A co-simulation failure is `simulation_failed`, except a caught
-/// domain panic, which stays `internal` like every other panic.
-impl From<CosimError> for RouteError {
-    fn from(e: CosimError) -> Self {
-        match e {
-            CosimError::Panicked { .. } => RouteError::internal(format!("simulation failed: {e}")),
-            e => RouteError::simulation_failed(e),
-        }
-    }
-}
-
-impl From<DecodeError> for RouteError {
-    fn from(e: DecodeError) -> Self {
-        RouteError { code: e.code, field: e.field, message: e.message }
-    }
-}
 
 /// A successful route: the response payload plus the result-cache
 /// activity it caused (for the per-endpoint metrics).
@@ -98,7 +36,8 @@ pub struct Routed {
 }
 
 impl Routed {
-    fn plain(result: Json) -> Self {
+    /// An uncached result.
+    pub(crate) fn plain(result: Json) -> Self {
         Routed { result, cache_hits: 0, cache_misses: 0 }
     }
 }
@@ -122,8 +61,8 @@ pub struct PrewarmReport {
 /// co-simulation calibration tables (fixed capacity, memory only, fresh
 /// at every start).
 pub struct Router {
-    pool: Pool,
-    calibrations: CalibrationCache,
+    pub(crate) pool: Pool,
+    pub(crate) calibrations: CalibrationCache,
     caches: Caches,
     store: Option<Arc<Store>>,
     mc_trial_cap: u64,
@@ -170,10 +109,7 @@ impl Router {
 
     /// Total `(hits, misses)` across the result caches.
     pub fn cache_stats(&self) -> (u64, u64) {
-        ENDPOINTS
-            .iter()
-            .map(|e| (e.stats)(&self.caches))
-            .fold((0, 0), |(h, m), (sh, sm)| (h + sh, m + sm))
+        self.caches.stats()
     }
 
     /// Pre-warms the result caches from the shared tier: plans a
@@ -200,11 +136,7 @@ impl Router {
                 report.unreadable += 1;
                 continue;
             };
-            let admitted = ENDPOINTS
-                .iter()
-                .find(|e| e.namespace == ns)
-                .is_some_and(|e| (e.admit)(&self.caches, planned.key, &value));
-            if admitted {
+            if self.caches.admit(&ns, planned.key, &value) {
                 report.admitted += 1;
             } else {
                 report.unreadable += 1;
@@ -220,7 +152,7 @@ impl Router {
     /// `None` on a memory miss (the store tier is not consulted) and for
     /// endpoints without a result cache.
     pub fn resident(&self, body: &RequestBody, key: u64) -> Option<Json> {
-        ENDPOINTS.iter().find_map(|e| (e.resident)(&self.caches, body, key))
+        body.data()?.cached()?.resident(&self.caches, key)
     }
 
     /// The caps this router imposes at decode time.
@@ -228,7 +160,7 @@ impl Router {
         DecodeLimits { mc_trial_cap: self.mc_trial_cap, ..DecodeLimits::default() }
     }
 
-    /// Dispatches one decoded data-plane body.
+    /// Dispatches one decoded data-plane body to its endpoint impl.
     ///
     /// # Errors
     ///
@@ -238,113 +170,24 @@ impl Router {
     /// when it panics, `unknown_endpoint` if a
     /// control-plane body is routed here (the connection answers those
     /// inline).
-    pub fn handle_typed(&self, body: &RequestBody) -> Result<Routed, RouteError> {
-        match body {
-            RequestBody::Fig11(p) => self.fig11(p),
-            RequestBody::Fullchain(p) => self.fullchain(p),
-            _ => ENDPOINTS.iter().find_map(|e| (e.serve)(self, body)).unwrap_or_else(|| {
-                Err(RouteError {
-                    code: ErrorCode::UnknownEndpoint,
-                    field: Some("endpoint".to_string()),
-                    message: format!(
-                        "control endpoint {:?} is answered inline, not routed to the data plane",
-                        body.endpoint()
-                    ),
-                })
+    pub fn handle_typed(&self, body: &RequestBody) -> Result<Routed, WireError> {
+        match body.data() {
+            Some(data) => data.execute(self),
+            None => Err(WireError {
+                code: ErrorCode::UnknownEndpoint,
+                field: Some("endpoint".to_string()),
+                message: format!(
+                    "control endpoint {:?} is answered inline, not routed to the data plane",
+                    body.endpoint()
+                ),
             }),
         }
-    }
-
-    /// `fig11`: one transistor-level Fig. 11 transient with caller
-    /// overrides, reporting the paper's compliance checks.
-    fn fig11(&self, p: &Fig11Params) -> Result<Routed, RouteError> {
-        let mut scenario = match p.preset {
-            Fig11Preset::Short => Fig11Scenario::shortened(),
-            Fig11Preset::Paper => Fig11Scenario::paper(),
-        };
-        if let Some(v) = p.idle_amplitude {
-            scenario.idle_amplitude = v;
-        }
-        if let Some(v) = p.r_source {
-            scenario.r_source = v;
-        }
-        if let Some(v) = p.r_load {
-            scenario.r_load = v;
-        }
-        if let Some(v) = p.t_stop_us {
-            scenario.t_stop = v * 1e-6;
-        }
-        if let Some(v) = p.max_step_ns {
-            scenario.max_step = v * 1e-9;
-        }
-        // A horizon that cuts into the preset's timeline is a client
-        // error, not a failed simulation: answer it as a bad field.
-        // `max_step_ns` is the knob for cheap runs, not truncation. The
-        // check needs the preset's timeline, so it runs here rather
-        // than in decode.
-        if let Err(cut) = scenario.check_timeline() {
-            return Err(RouteError::bad_field(
-                "t_stop_us",
-                format!(
-                    "\"t_stop_us\" = {:.0} cuts the preset's timeline (needs ≥ {:.0} µs)",
-                    cut.t_stop * 1e6,
-                    cut.timeline_end * 1e6,
-                ),
-            ));
-        }
-        let outcome = if p.cosim {
-            scenario.run_cosim_with(&self.pool, &self.calibrations)?.0
-        } else {
-            scenario.run().map_err(RouteError::simulation_failed)?
-        };
-        Ok(Routed::plain(Json::obj(vec![
-            ("vo_worst", Json::Num(outcome.vo_worst())),
-            ("vo_compliant", Json::Bool(outcome.vo_compliant())),
-            ("downlink_errors", Json::Num(outcome.downlink_errors() as f64)),
-            ("downlink_bits", Json::Num(outcome.downlink_sent.len() as f64)),
-            (
-                "t_charged_us",
-                outcome.t_charged.map_or(Json::Null, |t| Json::Num(t * 1e6)),
-            ),
-            ("uplink_contrast", Json::Num(outcome.uplink_contrast)),
-            ("cosim", Json::Bool(p.cosim)),
-        ])))
-    }
-
-    /// `fullchain`: steady-state Vo, efficiency and compliance of the
-    /// PA→coils→matching→rectifier netlist at a caller-chosen distance.
-    fn fullchain(&self, p: &FullchainParams) -> Result<Routed, RouteError> {
-        let mut scenario = FullChainScenario::ironic();
-        scenario.distance = p.distance_mm * 1e-3;
-        if let Some(v) = p.r_load {
-            scenario.r_load = v;
-        }
-        scenario.cycles = p.cycles as usize;
-        // Both engines report the same scalar summary, so the response
-        // shape is engine-independent (plus the `cosim` marker).
-        let (vo_steady, supply_compliant, efficiency, p_load, p_supply) = if p.cosim {
-            let o = scenario.run_cosim_with(&self.pool, &self.calibrations)?;
-            (o.vo_steady(), o.supply_compliant(), o.efficiency(), o.p_load, o.p_supply)
-        } else {
-            let o = scenario.run().map_err(RouteError::simulation_failed)?;
-            (o.vo_steady(), o.supply_compliant(), o.efficiency(), o.p_load, o.p_supply)
-        };
-        Ok(Routed::plain(Json::obj(vec![
-            ("distance_mm", Json::Num(p.distance_mm)),
-            ("cycles", Json::Num(scenario.cycles as f64)),
-            ("vo_steady", Json::Num(vo_steady)),
-            ("supply_compliant", Json::Bool(supply_compliant)),
-            ("efficiency", Json::Num(efficiency)),
-            ("p_load_mw", Json::Num(p_load * 1e3)),
-            ("p_supply_mw", Json::Num(p_supply * 1e3)),
-            ("cosim", Json::Bool(p.cosim)),
-        ])))
     }
 
     /// The one cached-endpoint path: a one-point pool run against `E`'s
     /// own cache (lookup, compute on a miss, write-through), rendered
     /// with its cache outcome.
-    fn serve<E: CachedEndpoint>(&self, p: &E) -> Result<Routed, RouteError> {
+    pub(crate) fn serve<E: CachedEndpoint>(&self, p: &E) -> Result<Routed, WireError> {
         let batch = Batch { name: E::NAMESPACE.to_string(), seed: 0, points: vec![p.point()] };
         let run = self.pool.run_cached(&batch, E::cache(&self.caches), |_| p.compute());
         let job = run.results.into_iter().next().expect("one result per point");
@@ -355,52 +198,13 @@ impl Router {
                 cache_misses: u64::from(!job.from_cache),
             }),
             // Formatted as the failure list of a one-point batch.
-            JobOutcome::Panicked(msg) => Err(RouteError::internal(format!(
-                "{} panicked: {:?}",
-                E::JOB,
-                [(0, msg)]
-            ))),
+            JobOutcome::Panicked(msg) => Err(WireError::new(
+                ErrorCode::Internal,
+                format!("{} panicked: {:?}", E::JOB, [(0, msg)]),
+            )),
         }
     }
 }
-
-/// One cached endpoint's entry points, type-erased so that all of them
-/// sit in one table.
-struct Endpoint {
-    namespace: &'static str,
-    serve: fn(&Router, &RequestBody) -> Option<Result<Routed, RouteError>>,
-    render: fn(&RequestBody, &Json) -> Option<Json>,
-    resident: fn(&Caches, &RequestBody, u64) -> Option<Json>,
-    admit: fn(&Caches, u64, &Json) -> bool,
-    stats: fn(&Caches) -> (u64, u64),
-}
-
-impl Endpoint {
-    const fn of<E: CachedEndpoint>() -> Self {
-        Endpoint {
-            namespace: E::NAMESPACE,
-            serve: |router, body| Some(router.serve(E::of(body)?)),
-            render: |body, value| Some(E::of(body)?.render(&E::Value::from_json(value)?, true)),
-            resident: |caches, body, key| {
-                let p = E::of(body)?;
-                Some(p.render(&E::cache(caches).get_resident(key)?, true))
-            },
-            admit: |caches, key, value| {
-                E::Value::from_json(value).map(|v| E::cache(caches).admit(key, v)).is_some()
-            },
-            stats: |caches| E::cache(caches).stats(),
-        }
-    }
-}
-
-/// The cached endpoints. A new one is a [`CachedEndpoint`] impl plus a
-/// row here.
-const ENDPOINTS: [Endpoint; 4] = [
-    Endpoint::of::<MontecarloParams>(),
-    Endpoint::of::<SweepParams>(),
-    Endpoint::of::<PatientdayParams>(),
-    Endpoint::of::<CohortParams>(),
-];
 
 /// Renders the full result document a server would serve for `body`
 /// from the raw artifact `value` the shared tier holds under the
@@ -413,13 +217,15 @@ const ENDPOINTS: [Endpoint; 4] = [
 /// request's cache identity can answer it straight from the store
 /// without any replica involved.
 pub fn render_cached_body(body: &RequestBody, value: &Json) -> Option<Json> {
-    ENDPOINTS.iter().find_map(|e| (e.render)(body, value))
+    body.data()?.cached()?.render_stored(value)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    
+    use crate::proto::MontecarloParams;
+    use runtime::Artifact;
+
     fn router() -> Router {
         Router::new(2, 64, 100_000)
     }
@@ -429,7 +235,7 @@ mod tests {
     }
 
     /// Decodes `p` as an `endpoint` body under `r`'s caps and routes it.
-    fn route(r: &Router, endpoint: &str, p: &Json) -> Result<Routed, RouteError> {
+    fn route(r: &Router, endpoint: &str, p: &Json) -> Result<Routed, WireError> {
         r.handle_typed(&RequestBody::decode(endpoint, p, &r.limits())?)
     }
 
@@ -443,7 +249,7 @@ mod tests {
     #[test]
     fn control_endpoints_do_not_route_through_the_data_plane() {
         let r = router();
-        for name in crate::proto::CONTROL_ENDPOINTS {
+        for name in ["health", "metrics", "metrics_v2", "shutdown"] {
             let err = route(&r, name, &params(vec![])).unwrap_err();
             assert_eq!(err.code, ErrorCode::UnknownEndpoint, "{name}");
         }

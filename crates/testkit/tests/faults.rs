@@ -267,12 +267,11 @@ fn in_spec_campaign_scenarios_report_no_violations() {
 fn engine_failures_map_to_simulation_failed_with_their_diagnostic() {
     use analog::SimError;
     use implant_core::CosimError;
-    use server::proto::ErrorCode;
-    use server::router::RouteError;
+    use server::proto::{ErrorCode, WireError};
 
     // The shape of the full-chain staircase underflow: a domain's
     // transient gives up at a named time and step.
-    let underflow = RouteError::from(CosimError::Domain {
+    let underflow = WireError::from(CosimError::Domain {
         domain: "link",
         source: SimError::TimestepTooSmall { time: 1.0068e-5, step: 2.8e-19 },
     });
@@ -281,7 +280,7 @@ fn engine_failures_map_to_simulation_failed_with_their_diagnostic() {
         assert!(underflow.message.contains(part), "{part:?} missing: {}", underflow.message);
     }
 
-    let diverged = RouteError::from(CosimError::Diverged {
+    let diverged = WireError::from(CosimError::Diverged {
         t: 2.5e-6,
         residual: 3.0,
         tolerance: 1e-3,
@@ -291,7 +290,7 @@ fn engine_failures_map_to_simulation_failed_with_their_diagnostic() {
     assert!(diverged.message.contains("t = 2.500e-6"), "{}", diverged.message);
 
     // The monolithic engines' own errors take the same code.
-    let newton = RouteError::simulation_failed(SimError::NoConvergence {
+    let newton = WireError::simulation_failed(SimError::NoConvergence {
         analysis: "transient",
         time: Some(3.0e-6),
         iterations: 50,
@@ -300,7 +299,7 @@ fn engine_failures_map_to_simulation_failed_with_their_diagnostic() {
     assert!(newton.message.starts_with("simulation failed: "), "{}", newton.message);
 
     // A caught panic is a server fault, not a property of the request.
-    let panicked = RouteError::from(CosimError::Panicked {
+    let panicked = WireError::from(CosimError::Panicked {
         domain: "comms".to_string(),
         message: "boom".to_string(),
     });
