@@ -11,7 +11,7 @@
 //! `BENCH_kernels.json` does not show lies in the serving layer.
 //!
 //! Each kernel runs `--repeats` times into its `<kernel>.*` latency
-//! metrics; the per-phase breakdown (`fig11.build` / `fig11.transient`
+//! metrics (nearest-rank order statistics of the raw runs); the per-phase breakdown (`fig11.build` / `fig11.transient`
 //! / … from the [`obs`] registry) lands in the artifact's `stages`.
 //!
 //! The `fig11` kernel runs on the compiled sparse engine, `fig11_interp`
@@ -39,7 +39,7 @@ use implant_core::fullchain::FullChainScenario;
 use implant_core::montecarlo::MonteCarloStudy;
 use implant_core::scenario::Fig11Scenario;
 use link::budget::PowerBudget;
-use runtime::{LatencyHistogram, Pool};
+use runtime::Pool;
 use scenario::{Cohort, DayProfile, PatientDay};
 use std::time::{Duration, Instant};
 
@@ -98,35 +98,37 @@ impl Args {
     }
 }
 
-/// Runs `f` `repeats` times into `record`'s `{name}.*` latency row. The
+/// Runs `f` `repeats` (≥ 1) times into `record`'s `{name}.*` latency
+/// row: the run count and the p50/p95/p99 as nearest-rank order
+/// statistics of the raw durations (the ⌈q·n⌉-th smallest run). The
 /// result is folded into a checksum so the optimizer cannot elide the
 /// kernel, and must come out finite. The best raw duration is returned
-/// for ratio math: bucket quantization would put up to ±41% of noise on
-/// a speedup computed from two (√2-bucketed) p50s.
+/// for ratio math.
 fn time_kernel(
     record: &mut Record,
     name: &str,
     repeats: usize,
     mut f: impl FnMut() -> f64,
 ) -> Duration {
-    let mut hist = LatencyHistogram::new();
     let mut checksum = 0.0;
-    let mut best = Duration::MAX;
-    for _ in 0..repeats {
-        let started = Instant::now();
-        checksum += f();
-        let took = started.elapsed();
-        best = best.min(took);
-        hist.record(took);
-    }
+    let mut runs: Vec<Duration> = (0..repeats)
+        .map(|_| {
+            let started = Instant::now();
+            checksum += f();
+            started.elapsed()
+        })
+        .collect();
+    runs.sort_unstable();
+    let rank = |q: f64| runs[((q * runs.len() as f64).ceil() as usize).clamp(1, runs.len()) - 1];
+    let (best, p50, p95, p99) = (runs[0], rank(0.50), rank(0.95), rank(0.99));
     println!(
-        "  {name:<20} {repeats} runs · best {best:.3?} · p50 {:?} · p95 {:?} · p99 {:?}",
-        hist.p50(),
-        hist.p95(),
-        hist.p99(),
+        "  {name:<20} {repeats} runs · best {best:.3?} · p50 {p50:?} · p95 {p95:?} · p99 {p99:?}"
     );
     assert!(checksum.is_finite(), "{name} produced a non-finite result");
-    record.latency(name, &hist);
+    record.metric(format!("{name}.count"), repeats as f64);
+    for (label, d) in [("p50_us", p50), ("p95_us", p95), ("p99_us", p99)] {
+        record.metric(format!("{name}.{label}"), duration_us(d));
+    }
     best
 }
 

@@ -29,8 +29,8 @@
 //!   order — bit-identical to a serial run of the whole cohort;
 //! * [`proxy`] — the [`ClusterProxy`] front end: the v2 wire protocol
 //!   on one port, data plane fanned out through a routing client,
-//!   `metrics_v2` merged over the replicas with per-replica labels
-//!   ([`obs::merge_prometheus`]). `cluster_serve` is the binary.
+//!   `metrics_v2` merged over the replicas and the cluster's own
+//!   stages ([`obs::merge_prometheus`]). `cluster_serve` is the binary.
 //!
 //! Everything is `std`-only and deterministic where determinism is
 //! claimable: placement is a pure function of (membership set, request

@@ -17,12 +17,14 @@
 //!
 //! * `health` — proxy status plus a per-replica membership table
 //!   (name, address, up/down/unknown, probe count) and the up count;
-//! * `metrics_v2` — the per-replica Prometheus expositions merged by
-//!   [`obs::merge_prometheus`], every sample tagged `replica="<name>"`
+//! * `metrics_v2` — each reachable replica's own Prometheus exposition
+//!   plus the cluster's own stages (the [`ReplicaSet::scope`] the
+//!   prober and this proxy's threads record into: `cluster.route`,
+//!   retries, failovers, hedges, probes, up/down transitions), merged by
+//!   [`obs::merge_prometheus`] with every sample tagged
+//!   `replica="<name>"`, the cluster's part as `replica="cluster"`
 //!   (byte-stable under replica count: a replica's lines are identical
 //!   whether it is scraped alone or with peers);
-//! * `metrics` — each reachable replica's serving metrics under its
-//!   name;
 //! * `shutdown` — acknowledges, then drains the whole set and stops
 //!   the proxy.
 
@@ -52,8 +54,7 @@ pub struct ProxyConfig {
     pub addr: String,
     /// Routing policy handed to every worker's [`ClusterClient`].
     pub policy: RetryPolicy,
-    /// Bound on each control-plane fetch from a replica (`metrics`,
-    /// `metrics_v2`).
+    /// Bound on each control-plane fetch from a replica (`metrics_v2`).
     pub control_timeout: Duration,
     /// Root of the shared artifact store: every worker's routing
     /// client gets it for hedged store reads (`None` = no store).
@@ -120,8 +121,9 @@ impl ProxyShared {
 
 /// The proxy's line protocol as a poller-driven [`LineService`]:
 /// malformed lines and refusals are answered inline from the poller
-/// thread; everything else — control plane included, since `metrics`
-/// fans out over the network — is queued to the worker fleet.
+/// thread; everything else — control plane included, since
+/// `metrics_v2` fans out over the network — is queued to the worker
+/// fleet.
 struct ProxyService {
     shared: Arc<ProxyShared>,
 }
@@ -146,7 +148,7 @@ impl LineService for ProxyService {
             // before the handle is joined, so it always reaches the
             // client.
             let body = Json::obj(vec![("draining", Json::Bool(true))]);
-            let ack = ok_response(request.id, body, 0, 0);
+            let ack = ok_response(request.id, &body, 0, 0);
             self.shared.begin_shutdown();
             return LineAction::Inline(ack);
         }
@@ -204,6 +206,9 @@ impl ClusterProxy {
             waker: OnceLock::new(),
         });
 
+        // Every proxy thread records into the cluster's scope; the
+        // poller pool carries the spawning thread's.
+        let _scope = shared.set.scope().enter();
         let service = Arc::new(ProxyService { shared: Arc::clone(&shared) });
         let pollers = PollerPool::spawn(pollers_n, service, "implant-cluster");
         shared.waker.set(pollers.waker()).ok().expect("waker set once");
@@ -213,7 +218,10 @@ impl ClusterProxy {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("implant-cluster-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
+                    .spawn(move || {
+                        let _scope = shared.set.scope().enter();
+                        worker_loop(&shared);
+                    })
                     .expect("spawn proxy worker")
             })
             .collect();
@@ -223,7 +231,10 @@ impl ClusterProxy {
             let registrar = pollers.registrar();
             std::thread::Builder::new()
                 .name("implant-cluster-accept".to_string())
-                .spawn(move || accept_loop(&listener, &shared, &registrar))
+                .spawn(move || {
+                    let _scope = shared.set.scope().enter();
+                    accept_loop(&listener, &shared, &registrar);
+                })
                 .expect("spawn proxy acceptor")
         };
         Ok(ProxyHandle { shared, accept, workers, pollers })
@@ -303,7 +314,6 @@ fn dispatch(request: Request, shared: &Arc<ProxyShared>, router: &mut ClusterCli
     match request.endpoint.as_str() {
         "health" => cluster_health(request.id, shared),
         "metrics_v2" => merged_metrics_v2(request.id, shared),
-        "metrics" => per_replica_metrics(request.id, shared),
         _ => {
             let budget = request.deadline_ms.map(Duration::from_millis);
             match router.request_routed(&request.endpoint, request.params, budget) {
@@ -398,7 +408,7 @@ fn cluster_health(id: u64, shared: &Arc<ProxyShared>) -> String {
         ("replicas", Json::Arr(replicas)),
         ("up", Json::Num(up as f64)),
     ]);
-    ok_response(id, body, 0, 0)
+    ok_response(id, &body, 0, 0)
 }
 
 /// One bounded control-plane client to a replica.
@@ -406,7 +416,8 @@ fn control_client(addr: SocketAddr, timeout: Duration) -> io::Result<Client> {
     Client::builder().connect_timeout(timeout).read_timeout(timeout).connect(addr)
 }
 
-/// `metrics_v2` merged over every reachable replica, labeled by name.
+/// `metrics_v2` merged over every reachable replica, labeled by name,
+/// then the cluster's own stages as `replica="cluster"`.
 fn merged_metrics_v2(id: u64, shared: &Arc<ProxyShared>) -> String {
     let mut parts: Vec<(String, String)> = Vec::new();
     for member in shared.set.members() {
@@ -420,34 +431,12 @@ fn merged_metrics_v2(id: u64, shared: &Arc<ProxyShared>) -> String {
             parts.push((member.name().to_string(), text));
         }
     }
+    parts.push(("cluster".to_string(), obs::render_prometheus(&shared.set.scope().snapshot())));
     let borrowed: Vec<(&str, &str)> =
         parts.iter().map(|(n, t)| (n.as_str(), t.as_str())).collect();
     let body = Json::obj(vec![
         ("format", Json::Str("prometheus-text".to_string())),
         ("text", Json::Str(obs::merge_prometheus(&borrowed))),
     ]);
-    ok_response(id, body, 0, 0)
-}
-
-/// `metrics` forwarded per replica, keyed by member name.
-fn per_replica_metrics(id: u64, shared: &Arc<ProxyShared>) -> String {
-    let mut pairs: Vec<(String, Json)> = Vec::new();
-    for member in shared.set.members() {
-        if member.state() == HealthState::Down {
-            continue;
-        }
-        let Ok(mut client) = control_client(member.addr(), shared.config.control_timeout) else {
-            continue;
-        };
-        if let Ok(resp) = client.request("metrics", Json::Obj(Vec::new())) {
-            if let Some(result) = resp.result() {
-                pairs.push((member.name().to_string(), result.clone()));
-            }
-        }
-    }
-    let body = Json::Obj(vec![(
-        "replicas".to_string(),
-        Json::Obj(pairs),
-    )]);
-    ok_response(id, body, 0, 0)
+    ok_response(id, &body, 0, 0)
 }

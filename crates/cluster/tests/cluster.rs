@@ -235,10 +235,13 @@ fn proxy_serves_the_v2_protocol_with_cluster_control_plane() {
         "families must merge, not repeat"
     );
 
-    // metrics: per-replica serving counters under each name.
+    // ...and one part for the cluster's own stages.
+    assert!(obs::stage_count(&text, Some("cluster"), "cluster.probe") > 0, "{text}");
+    assert!(obs::stage_count(&text, Some("cluster"), "cluster.route") >= 1, "{text}");
+
+    // The v1 `metrics` endpoint is gone.
     let metrics = client.request("metrics", Json::Obj(Vec::new())).unwrap();
-    let by_replica = metrics.result().and_then(|r| r.get("replicas")).unwrap();
-    assert!(by_replica.get("r0").is_some() && by_replica.get("r1").is_some());
+    assert_eq!(metrics.error_code(), Some("unknown_endpoint"));
 
     // shutdown: acknowledged, then the whole set drains.
     let bye = client.shutdown().unwrap();
@@ -246,4 +249,51 @@ fn proxy_serves_the_v2_protocol_with_cluster_control_plane() {
     drop(client);
     proxy.join();
     assert_eq!(set.up_count(), 0, "replicas drained with the proxy");
+}
+
+#[test]
+fn each_replica_reports_exactly_the_requests_it_served() {
+    let set = ReplicaSet::spawn_local(3, &small_server(), probe()).unwrap();
+    assert!(set.await_converged(CONVERGE));
+    let proxy = ClusterProxy::spawn(set.clone(), ProxyConfig::default()).unwrap();
+    let names = ["r0", "r1", "r2"];
+    let mut served = [0u64; 3];
+
+    // Uneven direct traffic: 1, 2 and 4 distinct sweeps...
+    let mut steps = 2;
+    for (i, member) in set.members().iter().enumerate() {
+        let mut client = Client::connect(member.addr()).unwrap();
+        for _ in 0..(1 << i) {
+            let params = Json::parse(&format!(r#"{{"steps": {steps}}}"#)).unwrap();
+            assert!(client.request("sweep", params).unwrap().is_ok());
+            steps += 1;
+            served[i] += 1;
+        }
+    }
+    // ...then distinct points through the proxy, counted by the stamp
+    // of the replica that answered.
+    let mut client = Client::connect(proxy.addr()).unwrap();
+    for seed in 0..9 {
+        let params = Json::parse(&format!(r#"{{"trials": 20, "seed": {seed}}}"#)).unwrap();
+        let response = client.request("montecarlo", params).unwrap();
+        assert!(response.is_ok(), "{:?}", response.json());
+        let replica = response.json().get("replica").and_then(Json::as_str).unwrap();
+        served[names.iter().position(|n| *n == replica).unwrap()] += 1;
+    }
+
+    // Each replica's own scrape, and its part of the proxy's merge,
+    // count exactly what it executed; the cluster's part none of it.
+    let merged = client.metrics_v2_text().unwrap();
+    for (i, member) in set.members().iter().enumerate() {
+        let own = Client::connect(member.addr()).unwrap().metrics_v2_text().unwrap();
+        assert_eq!(obs::stage_count(&own, None, "server.execute"), served[i], "{}: {own}", names[i]);
+        let part = obs::stage_count(&merged, Some(names[i]), "server.execute");
+        assert_eq!(part, served[i], "{} in the merge: {merged}", names[i]);
+    }
+    assert_eq!(obs::stage_count(&merged, Some("cluster"), "server.execute"), 0, "{merged}");
+    assert!(obs::stage_count(&merged, Some("cluster"), "cluster.route") >= 9, "{merged}");
+
+    assert!(client.shutdown().unwrap().is_ok());
+    drop(client);
+    proxy.join();
 }

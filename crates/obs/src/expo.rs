@@ -3,10 +3,10 @@
 //! The renderer is a pure function over a slice of [`StageSnapshot`]s,
 //! so the format is golden-testable without touching the live
 //! (process-global, test-order-dependent) registry. The server's
-//! `metrics_v2` endpoint ships [`prometheus_text`] — the same renderer
-//! over a live snapshot — inside its JSON response.
+//! `metrics_v2` endpoint ships the same renderer over its scope's
+//! snapshot inside its JSON response.
 
-use crate::registry::{snapshot, StageSnapshot};
+use crate::registry::StageSnapshot;
 use std::fmt::Write as _;
 
 /// Quantiles exposed per stage (matching the repo-wide p50/p95/p99
@@ -63,13 +63,16 @@ pub fn render_prometheus(stages: &[StageSnapshot]) -> String {
     out
 }
 
-/// The live registry rendered for the `metrics_v2` endpoint.
-pub fn prometheus_text() -> String {
-    render_prometheus(&snapshot())
+/// The `implant_obs_stage_count` sample of `stage` in an exposition
+/// (in `replica`'s part, for a merged one); 0 when the stage is absent.
+pub fn stage_count(text: &str, replica: Option<&str>, stage: &str) -> u64 {
+    let replica = replica.map_or(String::new(), |r| format!("replica=\"{r}\","));
+    let prefix = format!("implant_obs_stage_count{{{replica}stage=\"{stage}\"}} ");
+    text.lines().find_map(|line| line.strip_prefix(&prefix)?.parse().ok()).unwrap_or(0)
 }
 
 /// Merges several per-replica expositions (as produced by
-/// [`render_prometheus`] / [`prometheus_text`]) into one, tagging every
+/// [`render_prometheus`]) into one, tagging every
 /// sample with a `replica="<name>"` label in the first position.
 ///
 /// Families keep the order of their first appearance across `parts`
@@ -209,6 +212,22 @@ mod tests {
     }
 
     #[test]
+    fn stage_count_reads_plain_and_merged_expositions() {
+        let stages = vec![StageSnapshot {
+            name: "server.ok",
+            count: 7,
+            total: Duration::ZERO,
+            hist: LatencyHistogram::new(),
+        }];
+        let text = render_prometheus(&stages);
+        assert_eq!(stage_count(&text, None, "server.ok"), 7);
+        assert_eq!(stage_count(&text, None, "server.o"), 0, "whole names only");
+        let merged = merge_prometheus(&[("r0", &text)]);
+        assert_eq!(stage_count(&merged, Some("r0"), "server.ok"), 7);
+        assert_eq!(stage_count(&merged, Some("r1"), "server.ok"), 0);
+    }
+
+    #[test]
     fn merge_keeps_families_contiguous_and_parts_ordered() {
         let mut hist = LatencyHistogram::new();
         hist.record(Duration::from_micros(10));
@@ -257,7 +276,7 @@ mod tests {
         // Record directly on the stage (not through the enable gate) so
         // this cannot race the disabled-window test elsewhere.
         crate::registry::stage("test.expo.live").record_duration(Duration::from_micros(42));
-        let text = prometheus_text();
+        let text = render_prometheus(&crate::snapshot());
         for line in text.lines() {
             assert!(
                 line.starts_with('#') || line.starts_with("implant_obs_"),

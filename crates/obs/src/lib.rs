@@ -14,9 +14,13 @@
 //!   demand ([`snapshot`]) into plain [`StageSnapshot`]s backed by the
 //!   shared [`LatencyHistogram`] (which moved here from
 //!   `runtime::metrics`; the runtime re-exports it).
-//! * **Exposition** — [`prometheus_text`] renders the registry in the
-//!   Prometheus text format; the server's `metrics_v2` endpoint serves
-//!   it, and `bench_kernels --profile` prints the same data as a table.
+//! * **Scopes** — a [`Scope`] is one server's own stage table: a thread
+//!   that entered it records every stage into it as well as the
+//!   registry, so servers sharing a process report only their own work.
+//! * **Exposition** — [`render_prometheus`] renders a snapshot (the
+//!   registry's or a scope's) in the Prometheus text format; the
+//!   server's `metrics_v2` endpoint serves its scope, and
+//!   `bench_kernels --profile` prints the registry as a table.
 //!
 //! **Overhead contract**: with `IMPLANT_OBS=0` (or [`set_enabled`]
 //! `(false)`) a span costs one relaxed atomic load and no clock read —
@@ -35,7 +39,7 @@
 //! assert_eq!(report, 4);
 //! let stages = obs::snapshot();
 //! assert!(stages.iter().any(|s| s.name == "demo.phase" && s.count >= 1));
-//! assert!(obs::prometheus_text().contains("implant_obs_stage_count"));
+//! assert!(obs::render_prometheus(&stages).contains("implant_obs_stage_count"));
 //! ```
 
 #![deny(missing_docs)]
@@ -44,11 +48,13 @@
 pub mod expo;
 pub mod hist;
 pub mod registry;
+pub mod scope;
 pub mod span;
 
-pub use expo::{merge_prometheus, prometheus_text, render_prometheus};
+pub use expo::{merge_prometheus, render_prometheus, stage_count};
 pub use hist::LatencyHistogram;
 pub use registry::{reset, snapshot, StageSnapshot};
+pub use scope::{Entered, Scope};
 pub use span::{current_stack, enabled, env_enables, set_enabled, SpanGuard, Stage};
 
 /// Opens a span for the enclosing scope: `let _span = obs::span!("x");`.

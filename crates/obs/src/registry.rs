@@ -22,7 +22,7 @@ pub(crate) fn stage(name: &'static str) -> &'static Stage {
     if let Some(existing) = reg.iter().find(|s| s.name() == name) {
         return existing;
     }
-    let interned: &'static Stage = Box::leak(Box::new(Stage::new(name)));
+    let interned: &'static Stage = Box::leak(Box::new(Stage::new(name, reg.len())));
     reg.push(interned);
     interned
 }
@@ -61,14 +61,26 @@ impl StageSnapshot {
 /// Snapshots every registered stage, sorted by name (stable output for
 /// rendering and diffing).
 pub fn snapshot() -> Vec<StageSnapshot> {
+    snapshot_of(Some)
+}
+
+/// Snapshots, under each registered stage's name, the counters `read`
+/// maps it to (the stage itself, or a scope's stage of the same index),
+/// skipping stages it maps to `None`; sorted by name.
+pub(crate) fn snapshot_of<'a>(
+    read: impl Fn(&'static Stage) -> Option<&'a Stage>,
+) -> Vec<StageSnapshot> {
     let reg = stages().lock().expect("obs registry poisoned");
     let mut out: Vec<StageSnapshot> = reg
         .iter()
-        .map(|stage| StageSnapshot {
-            name: stage.name(),
-            count: stage.count(),
-            total: Duration::from_nanos(stage.total_ns()),
-            hist: stage.histogram(),
+        .filter_map(|&stage| {
+            let cells = read(stage)?;
+            Some(StageSnapshot {
+                name: stage.name(),
+                count: cells.count(),
+                total: Duration::from_nanos(cells.total_ns()),
+                hist: cells.histogram(),
+            })
         })
         .collect();
     out.sort_by_key(|s| s.name);
@@ -76,7 +88,7 @@ pub fn snapshot() -> Vec<StageSnapshot> {
 }
 
 /// Zeroes every registered stage (benches isolating phases; stages stay
-/// registered).
+/// registered). Scopes keep their counts.
 pub fn reset() {
     let reg = stages().lock().expect("obs registry poisoned");
     for stage in reg.iter() {

@@ -23,18 +23,21 @@ use std::time::{Duration, Instant};
 
 /// One registered stage: a name plus its atomic counters. Stages are
 /// allocated once and leaked (`&'static`), so recording needs no
-/// reference counting.
+/// reference counting. A [`Scope`](crate::Scope)'s table holds stages
+/// of its own, unnamed, found by the registered stage's `index`.
 pub struct Stage {
     pub(crate) name: &'static str,
+    pub(crate) index: usize,
     count: AtomicU64,
     total_ns: AtomicU64,
     buckets: [AtomicU64; LatencyHistogram::BUCKETS],
 }
 
 impl Stage {
-    pub(crate) fn new(name: &'static str) -> Self {
+    pub(crate) fn new(name: &'static str, index: usize) -> Self {
         Stage {
             name,
+            index,
             count: AtomicU64::new(0),
             total_ns: AtomicU64::new(0),
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -143,7 +146,8 @@ impl Drop for SpanGuard {
             STACK.with(|s| {
                 s.borrow_mut().pop();
             });
-            stage.record_duration(started.elapsed());
+            let elapsed = started.elapsed();
+            crate::scope::record(stage, |s| s.record_duration(elapsed));
         }
     }
 }
@@ -167,7 +171,8 @@ pub fn record_at(slot: &'static OnceLock<&'static Stage>, name: &'static str, el
     if !enabled() {
         return;
     }
-    slot.get_or_init(|| crate::registry::stage(name)).record_duration(elapsed);
+    let stage = slot.get_or_init(|| crate::registry::stage(name));
+    crate::scope::record(stage, |s| s.record_duration(elapsed));
 }
 
 /// Adds `n` to a duration-less counter stage. Called by the
@@ -176,11 +181,11 @@ pub fn count_at(slot: &'static OnceLock<&'static Stage>, name: &'static str, n: 
     if !enabled() {
         return;
     }
-    slot.get_or_init(|| crate::registry::stage(name)).add(n);
+    crate::scope::record(slot.get_or_init(|| crate::registry::stage(name)), |s| s.add(n));
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::Mutex;
 
@@ -189,7 +194,7 @@ mod tests {
     /// disabled-window test cannot swallow another test's spans.
     static FLAG_LOCK: Mutex<()> = Mutex::new(());
 
-    fn flag_lock() -> std::sync::MutexGuard<'static, ()> {
+    pub(crate) fn flag_lock() -> std::sync::MutexGuard<'static, ()> {
         FLAG_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 

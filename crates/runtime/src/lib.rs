@@ -14,8 +14,9 @@
 //! * [`rng`] — the in-tree SplitMix64 / xoshiro256++ generators the
 //!   whole workspace uses instead of the `rand` crate;
 //! * [`cache`] — a content-keyed [`ResultCache`] (stable hash of the
-//!   parameter point) with an optional on-disk JSON artifact directory,
-//!   so re-running a sweep recomputes only changed points;
+//!   parameter point), optionally bounded and optionally backed by an
+//!   [`ArtifactTier`] (the on-disk `implant-store`), so re-running a
+//!   sweep recomputes only changed points;
 //! * [`metrics`] — per-run [`RunMetrics`]: wall times, throughput and
 //!   cache counters, with a human-readable end-of-run summary;
 //! * [`json`] — the minimal JSON codec backing the artifact store.

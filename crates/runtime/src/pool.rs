@@ -177,11 +177,14 @@ impl Pool {
         if workers <= 1 {
             worker();
         } else {
+            // Each worker records its stages into the caller's obs scope.
+            let caller = obs::Scope::current();
             std::thread::scope(|scope| {
                 for _ in 0..workers {
-                    // The closure captures only shared references, so it
-                    // is `Copy` — each spawn gets its own copy.
-                    scope.spawn(worker);
+                    scope.spawn(|| {
+                        let _scope = caller.as_ref().map(obs::Scope::enter);
+                        worker();
+                    });
                 }
             });
         }
@@ -388,6 +391,19 @@ mod tests {
         assert_eq!(m.cache_misses, 30);
         assert!(m.throughput() > 0.0);
         assert!(m.job_wall_max >= m.job_wall_min);
+    }
+
+    #[test]
+    fn workers_record_into_the_callers_obs_scope() {
+        let scope = obs::Scope::default();
+        let batch = Batch::builder("scoped").seed(2).trials(12).build();
+        let run = {
+            let _in = scope.enter();
+            Pool::new(3).run(&batch, walk)
+        };
+        assert_eq!(run.metrics.workers, 3);
+        let jobs = scope.snapshot().iter().find(|s| s.name == "pool.job").map(|s| s.count);
+        assert_eq!(jobs, Some(12), "every job counts in the caller's scope, whichever thread ran it");
     }
 
     #[test]

@@ -1,21 +1,21 @@
 //! The server's line protocol, as a [`LineService`] the poller
-//! front-end drives. (Until the fan-in work this was a
-//! thread-per-connection loop; the wire behavior is unchanged.)
+//! front-end drives.
 //!
-//! Control-plane endpoints (`health`, `metrics`, `metrics_v2`,
-//! `shutdown`) and every rejection (malformed line, unknown endpoint,
-//! invalid parameters, shed or closed queue) are answered inline from
-//! the poller thread; only fully decoded data-plane requests enter the
+//! Control-plane endpoints (`health`, `metrics_v2`, `shutdown`) and
+//! every rejection (malformed line, unknown endpoint, invalid
+//! parameters, shed or closed queue) are answered inline from the
+//! poller thread; only fully decoded data-plane requests enter the
 //! bounded queue. That keeps the observability plane responsive even
 //! when the data plane is saturated — a full queue still answers
-//! `metrics` instantly — and means workers never see invalid input.
+//! `metrics_v2` instantly — and means workers never see invalid input.
 //!
 //! A data request whose answer is resident in the router's memory
-//! cache is answered inline as well (`server.hit.inline`): `queue_us`
-//! 0, the lookup and render as `service_us`, the same result bytes and
-//! accounting as a queued hit. Memory misses, store-tier hits (no disk
-//! I/O on a poller), the uncached `fig11`/`fullchain` and everything
-//! during a drain still go through the queue.
+//! cache is answered inline as well: `queue_us` 0, the lookup and
+//! render as `service_us`, the same result bytes as a queued hit, and
+//! counted `server.ok` plus `server.hit.inline` (the hit a queued
+//! request counts as `pool.cache_hit`). Memory misses, store-tier hits
+//! (no disk I/O on a poller), the uncached `fig11`/`fullchain` and
+//! everything during a drain still go through the queue.
 //!
 //! Data requests with a [`RequestBody::route_point`] identity then join
 //! the single-flight table: if an identical request is already in
@@ -24,17 +24,17 @@
 //! queue slot or recomputes the artifact. A leader the queue refuses
 //! resolves its flight at once with the refusal.
 //!
-//! Each protocol stage records into the [`obs`] registry:
-//! `server.read` (data-bearing socket reads), `server.decode`
-//! (envelope + typed body), `server.queue_wait`, `server.execute` and
-//! `server.encode` (worker side, see `worker_loop` in `lib.rs`) and
-//! `server.write`.
+//! Each protocol stage records into the [`obs`] registry and the
+//! server's scope: `server.read` (data-bearing socket reads),
+//! `server.decode` (envelope + typed body), `server.queue_wait`,
+//! `server.execute` and `server.encode` (worker side, see `worker_loop`
+//! in `lib.rs`) and `server.write`. Every answered data request and
+//! every rejected line counts once, as `server.ok` or as
+//! `server.error.<code>`.
 
-use crate::flight::{Outcome, Waiter};
+use crate::flight::{count_answer, Outcome, Waiter};
 use crate::poller::{LineAction, LineService};
-use crate::proto::{
-    err_response, ok_response, ok_response_checked, ErrorCode, Request, RequestBody, WireError,
-};
+use crate::proto::{err_response, ok_line, ok_response, ErrorCode, Request, RequestBody, WireError};
 use crate::queue::PushError;
 use crate::{Job, Shared};
 use runtime::{Flight, Json};
@@ -45,29 +45,11 @@ use std::time::{Duration, Instant};
 /// Hard cap on one request line, bytes (newline excluded).
 pub const MAX_LINE: usize = 64 * 1024;
 
-/// Pseudo-endpoint name malformed lines are accounted under (they have
-/// no parseable endpoint of their own).
-pub const MALFORMED: &str = "_malformed";
-
-/// Pseudo-endpoint name idle-timeout closes are accounted under.
-pub const IDLE: &str = "_idle";
-
-/// Pseudo-endpoint name requests for an endpoint the server does not
-/// serve are accounted under: the metrics table is keyed by endpoint,
-/// and a client must not grow it with names of its own choosing.
-pub const UNKNOWN: &str = "_unknown";
-
 /// The server's protocol as a poller-driven service: one [`Shared`]
 /// behind every connection, no per-connection thread or state beyond
 /// what the poller keeps.
 pub(crate) struct ServerService {
-    shared: Arc<Shared>,
-}
-
-impl ServerService {
-    pub(crate) fn new(shared: Arc<Shared>) -> Self {
-        ServerService { shared }
-    }
+    pub(crate) shared: Arc<Shared>,
 }
 
 impl LineService for ServerService {
@@ -84,7 +66,7 @@ impl LineService for ServerService {
         };
         match envelope {
             Err(rejection) => {
-                self.shared.metrics.record_error(MALFORMED, ErrorCode::BadRequest);
+                count_answer(Some(rejection.code));
                 LineAction::Inline(err_response(0, &rejection))
             }
             Ok(request) => dispatch(request, &self.shared),
@@ -92,7 +74,7 @@ impl LineService for ServerService {
     }
 
     fn oversized_line(&self) -> String {
-        self.shared.metrics.record_error(MALFORMED, ErrorCode::BadRequest);
+        count_answer(Some(ErrorCode::BadRequest));
         let message = format!("request line exceeds {MAX_LINE} bytes");
         err_response(0, &WireError::new(ErrorCode::BadRequest, message))
     }
@@ -102,7 +84,7 @@ impl LineService for ServerService {
     }
 
     fn idle_line(&self) -> String {
-        self.shared.metrics.record_error(IDLE, ErrorCode::IdleTimeout);
+        count_answer(Some(ErrorCode::IdleTimeout));
         let timeout = self.shared.idle_timeout.unwrap_or_default();
         let message = format!("connection idle for {} ms; closing", timeout.as_millis());
         err_response(0, &WireError::new(ErrorCode::IdleTimeout, message))
@@ -125,11 +107,7 @@ fn dispatch(request: Request, shared: &Arc<Shared>) -> LineAction {
     let body = match body {
         Ok(body) => body,
         Err(err) => {
-            let bucket = match err.code {
-                ErrorCode::UnknownEndpoint => UNKNOWN,
-                _ => &request.endpoint,
-            };
-            shared.metrics.record_error(bucket, err.code);
+            count_answer(Some(err.code));
             return LineAction::Inline(err_response(request.id, &err));
         }
     };
@@ -143,33 +121,24 @@ fn dispatch(request: Request, shared: &Arc<Shared>) -> LineAction {
                 ("queue_depth", Json::Num(shared.queue.len() as f64)),
                 ("queue_capacity", Json::Num(shared.queue.capacity() as f64)),
             ]);
-            ok_response(request.id, body, 0, 0)
-        }
-        RequestBody::Metrics => {
-            // Percentile fields can go non-finite on an empty histogram;
-            // audit like the data plane does.
-            crate::proto::ok_response_checked(
-                request.id,
-                shared.metrics.to_json(shared.queue.len()),
-                0,
-                0,
-            )
+            ok_response(request.id, &body, 0, 0)
         }
         RequestBody::MetricsV2 => {
-            // The Prometheus-style stage exposition, wrapped in JSON so
-            // the one-line-per-response framing holds (the codec escapes
-            // the newlines).
+            // This server's stage exposition, wrapped in JSON so the
+            // one-line-per-response framing holds (the codec escapes the
+            // newlines).
+            let text = obs::render_prometheus(&shared.obs.snapshot());
             let body = Json::obj(vec![
                 ("format", Json::Str("prometheus-text".to_string())),
-                ("text", Json::Str(obs::prometheus_text())),
+                ("text", Json::Str(text)),
             ]);
-            ok_response(request.id, body, 0, 0)
+            ok_response(request.id, &body, 0, 0)
         }
         RequestBody::Shutdown => {
             // Answer first, then start the drain: the client always gets
             // its acknowledgement even though the listener is about to go.
             let body = Json::obj(vec![("draining", Json::Bool(true))]);
-            let response = ok_response(request.id, body, 0, 0);
+            let response = ok_response(request.id, &body, 0, 0);
             shared.begin_shutdown();
             response
         }
@@ -229,28 +198,25 @@ fn submit(
     // A leader that failed admission resolves its flight at once:
     // followers that raced in between `join` and the failed push get the
     // same structured refusal, and the key is left clean.
-    let endpoint = job.body.endpoint();
     let outcome = Outcome::Answer(Err(refusal));
     if let Some(key) = job.flight_key {
-        let (flight, metrics) = (&shared.flight, &shared.metrics);
-        crate::flight::publish(flight, metrics, endpoint, key, &outcome, Duration::ZERO);
+        crate::flight::publish(&shared.flight, key, &outcome, Duration::ZERO);
         shared.wake_pollers();
     }
-    LineAction::Inline(outcome.answer(&shared.metrics, endpoint, job.id, 0, Duration::ZERO, None))
+    LineAction::Inline(outcome.answer(job.id, 0, Duration::ZERO, None))
 }
 
 /// Answers a request whose result the router holds in memory, on the
 /// calling poller: `queue_us` 0, the lookup and render as `service_us`,
-/// accounted exactly like a queued hit (`record_ok` with one cache hit)
-/// plus the `server.hit.inline` counter. `None` sends the request down
-/// the queued path — memory misses, store-tier hits (no disk I/O on a
-/// poller) and the uncached endpoints.
+/// counted `server.ok` and `server.hit.inline` (its one cache hit).
+/// `None` sends the request down the queued path — memory misses,
+/// store-tier hits (no disk I/O on a poller) and the uncached endpoints.
 fn answer_resident(id: u64, body: &RequestBody, key: u64, shared: &Shared) -> Option<String> {
     let started = Instant::now();
     let result = shared.router.resident(body, key)?;
     let service = started.elapsed();
     obs::count!("server.hit.inline");
-    shared.metrics.record_ok(body.endpoint(), service, 1, 0);
+    count_answer(None);
     let _encode = obs::span!("server.encode");
-    Some(ok_response_checked(id, result, 0, service.as_micros() as u64))
+    Some(ok_line(id, &result, 0, service.as_micros() as u64))
 }

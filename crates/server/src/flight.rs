@@ -15,11 +15,11 @@
 //! panicking or expiring leader can never poison the key: the entry is
 //! removed unconditionally and the next request for the key leads a
 //! fresh flight. Every waiter's line, like the leader's own, is rendered
-//! by [`Outcome::answer`] from the one outcome the leader resolved to.
+//! and counted by [`Outcome::answer`] from the one outcome the leader
+//! resolved to.
 
-use crate::proto::{err_response, ok_response_checked, ErrorCode, WireError};
+use crate::proto::{err_response, ok_line, ErrorCode, WireError};
 use crate::router::Routed;
-use crate::stats::ServerMetrics;
 use runtime::Inflight;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -50,21 +50,36 @@ pub enum Outcome {
     /// `internal` error and the key is left clean for a retry.
     Panicked,
     /// The leader expired in the queue before service. Each request is
-    /// judged against its *own* deadline: expired ones count `expired`
-    /// exactly once; still-live followers are shed with `overloaded` so
-    /// a retry can lead a fresh flight.
+    /// judged against its *own* deadline: expired ones count
+    /// `deadline_exceeded` exactly once; still-live followers are shed
+    /// with `overloaded` so a retry can lead a fresh flight.
     Expired,
 }
 
+/// Counts one answered data request or rejected line: `server.ok`, or
+/// `server.error.<code>` for the error class it was answered with.
+pub(crate) fn count_answer(error: Option<ErrorCode>) {
+    match error {
+        None => obs::count!("server.ok"),
+        Some(ErrorCode::BadRequest) => obs::count!("server.error.bad_request"),
+        Some(ErrorCode::UnknownEndpoint) => obs::count!("server.error.unknown_endpoint"),
+        Some(ErrorCode::Overloaded) => obs::count!("server.error.overloaded"),
+        Some(ErrorCode::DeadlineExceeded) => obs::count!("server.error.deadline_exceeded"),
+        Some(ErrorCode::ShuttingDown) => obs::count!("server.error.shutting_down"),
+        Some(ErrorCode::IdleTimeout) => obs::count!("server.error.idle_timeout"),
+        Some(ErrorCode::SimulationFailed) => obs::count!("server.error.simulation_failed"),
+        Some(ErrorCode::Internal) => obs::count!("server.error.internal"),
+    }
+}
+
 impl Outcome {
-    /// Renders the line one request receives and records its metrics:
-    /// the leader (`follower` `None`) or a follower, given its own
-    /// deadline. `queue_us` is the request's own wait; `service` the
-    /// leader's execution time.
+    /// Renders and counts ([`count_answer`]) the line one request
+    /// receives: the leader (`follower` `None`) or a follower, given its
+    /// own deadline. `queue_us` is the request's own wait; `service` the
+    /// leader's execution time. A success line is encoded from the
+    /// borrowed result, so the leader and its followers share one copy.
     pub fn answer(
         &self,
-        metrics: &ServerMetrics,
-        endpoint: &str,
         id: u64,
         queue_us: u64,
         service: Duration,
@@ -72,17 +87,8 @@ impl Outcome {
     ) -> String {
         let err = match self {
             Outcome::Answer(Ok(routed)) => {
-                match follower {
-                    None => metrics.record_ok(
-                        endpoint,
-                        service,
-                        routed.cache_hits,
-                        routed.cache_misses,
-                    ),
-                    Some(_) => metrics.record_collapsed_ok(endpoint, service),
-                }
-                let service_us = service.as_micros() as u64;
-                return ok_response_checked(id, routed.result.clone(), queue_us, service_us);
+                count_answer(None);
+                return ok_line(id, &routed.result, queue_us, service.as_micros() as u64);
             }
             Outcome::Answer(Err(e)) => e.clone(),
             Outcome::Panicked => WireError::new(
@@ -103,7 +109,7 @@ impl Outcome {
                 format!("deadline expired after {queue_us} µs in queue"),
             ),
         };
-        metrics.record_error(endpoint, err.code);
+        count_answer(Some(err.code));
         err_response(id, &err)
     }
 }
@@ -115,17 +121,10 @@ impl Outcome {
 /// poisoned key behind — even when the outcome is
 /// [`Outcome::Panicked`]. Waiters whose connection has already gone
 /// away are skipped silently (the send simply fails).
-pub fn publish(
-    flight: &Inflight<Waiter>,
-    metrics: &ServerMetrics,
-    endpoint: &str,
-    key: u64,
-    outcome: &Outcome,
-    service: Duration,
-) {
+pub fn publish(flight: &Inflight<Waiter>, key: u64, outcome: &Outcome, service: Duration) {
     for w in flight.complete(key) {
         let queue_us = w.enqueued.elapsed().as_micros() as u64;
-        let line = outcome.answer(metrics, endpoint, w.id, queue_us, service, Some(w.deadline));
+        let line = outcome.answer(w.id, queue_us, service, Some(w.deadline));
         let _ = w.reply.send(line);
     }
 }
@@ -150,14 +149,21 @@ mod tests {
         rx
     }
 
-    fn counters(metrics: &ServerMetrics, endpoint: &str) -> Json {
-        metrics.to_json(0).get("endpoints").and_then(|e| e.get(endpoint)).cloned().expect("entry")
+    /// A fresh obs scope this thread records into while the guard lives.
+    fn scoped() -> (obs::Scope, obs::Entered) {
+        let scope = obs::Scope::default();
+        let entered = scope.enter();
+        (scope, entered)
+    }
+
+    fn count(scope: &obs::Scope, stage: &str) -> u64 {
+        scope.snapshot().iter().find(|s| s.name == stage).map_or(0, |s| s.count)
     }
 
     #[test]
-    fn ok_outcome_delivers_identical_results_with_collapsed_accounting() {
+    fn ok_outcome_delivers_identical_results_and_counts_each_follower_ok() {
         let flight = Inflight::new();
-        let metrics = ServerMetrics::new();
+        let (scope, _in) = scoped();
         assert_eq!(flight.join(7, dummy_waiter(0)), Flight::Leader);
         // Leader's own waiter slot is dropped by join(); park two followers.
         let rx1 = park(&flight, 7, 11, Instant::now() + Duration::from_secs(5));
@@ -167,14 +173,7 @@ mod tests {
             cache_hits: 0,
             cache_misses: 1,
         };
-        publish(
-            &flight,
-            &metrics,
-            "montecarlo",
-            7,
-            &Outcome::Answer(Ok(routed)),
-            Duration::from_micros(900),
-        );
+        publish(&flight, 7, &Outcome::Answer(Ok(routed)), Duration::from_micros(900));
         let l1 = rx1.recv().expect("follower 1 answered");
         let l2 = rx2.recv().expect("follower 2 answered");
         assert!(l1.contains("\"id\":11") && l2.contains("\"id\":12"));
@@ -182,36 +181,33 @@ mod tests {
         let body = |l: &str| l.split("\"result\":").nth(1).unwrap().to_string();
         assert!(l1.contains("\"answer\":42"));
         assert_eq!(body(&l1), body(&l2), "followers observe one result document");
-        let mc = counters(&metrics, "montecarlo");
-        let n = |k: &str| mc.get(k).and_then(Json::as_u64).unwrap();
-        assert_eq!((n("ok"), n("collapsed"), n("cache_hits")), (2, 2, 2));
+        assert_eq!(count(&scope, "server.ok"), 2);
         assert!(flight.is_empty(), "flight entry removed");
     }
 
     #[test]
     fn route_error_propagates_code_and_field_to_every_follower() {
         let flight = Inflight::new();
-        let metrics = ServerMetrics::new();
+        let (scope, _in) = scoped();
         assert_eq!(flight.join(3, dummy_waiter(0)), Flight::Leader);
         let rx = park(&flight, 3, 9, Instant::now() + Duration::from_secs(5));
         let err = WireError::bad("trials", "trials must be positive");
         let outcome = Outcome::Answer(Err(err));
-        publish(&flight, &metrics, "montecarlo", 3, &outcome, Duration::ZERO);
+        publish(&flight, 3, &outcome, Duration::ZERO);
         let line = rx.recv().expect("answered");
         assert!(line.contains("\"code\":\"bad_request\""));
         assert!(line.contains("\"field\":\"trials\""));
-        let mc = counters(&metrics, "montecarlo");
-        assert_eq!(mc.get("errors").and_then(Json::as_u64), Some(1));
+        assert_eq!(count(&scope, "server.error.bad_request"), 1);
     }
 
     #[test]
     fn panicked_leader_frees_the_key_and_errs_followers_without_hanging() {
         let flight = Inflight::new();
-        let metrics = ServerMetrics::new();
+        let (scope, _in) = scoped();
         assert_eq!(flight.join(5, dummy_waiter(0)), Flight::Leader);
         let rx1 = park(&flight, 5, 21, Instant::now() + Duration::from_secs(5));
         let rx2 = park(&flight, 5, 22, Instant::now() + Duration::from_secs(5));
-        publish(&flight, &metrics, "sweep", 5, &Outcome::Panicked, Duration::ZERO);
+        publish(&flight, 5, &Outcome::Panicked, Duration::ZERO);
         for rx in [rx1, rx2] {
             let line = rx.recv().expect("follower answered, not hung");
             assert!(line.contains("\"code\":\"internal\""));
@@ -220,39 +216,35 @@ mod tests {
         assert!(flight.is_empty(), "no poisoned entry");
         // The very next request for the key leads a fresh flight.
         assert_eq!(flight.join(5, dummy_waiter(0)), Flight::Leader);
-        let sw = counters(&metrics, "sweep");
-        assert_eq!(sw.get("errors").and_then(Json::as_u64), Some(2));
+        assert_eq!(count(&scope, "server.error.internal"), 2);
     }
 
     #[test]
     fn expired_leader_counts_each_expired_follower_once_and_sheds_live_ones() {
         let flight = Inflight::new();
-        let metrics = ServerMetrics::new();
+        let (scope, _in) = scoped();
         assert_eq!(flight.join(8, dummy_waiter(0)), Flight::Leader);
         // One follower already past its own deadline, one still live.
         let rx_dead = park(&flight, 8, 31, Instant::now() - Duration::from_millis(5));
         let rx_live = park(&flight, 8, 32, Instant::now() + Duration::from_secs(30));
-        publish(&flight, &metrics, "montecarlo", 8, &Outcome::Expired, Duration::ZERO);
+        publish(&flight, 8, &Outcome::Expired, Duration::ZERO);
         let dead = rx_dead.recv().expect("expired follower answered");
         assert!(dead.contains("\"code\":\"deadline_exceeded\""));
         let live = rx_live.recv().expect("live follower answered");
         assert!(live.contains("\"code\":\"overloaded\""));
         assert!(live.contains("leader expired in queue; retry"));
-        let mc = counters(&metrics, "montecarlo");
-        let n = |k: &str| mc.get(k).and_then(Json::as_u64).unwrap();
-        assert_eq!(n("expired"), 1, "each expired follower counts expired exactly once");
-        assert_eq!(n("shed"), 1, "live followers are shed, not expired");
+        let n = |stage| count(&scope, stage);
+        assert_eq!(n("server.error.deadline_exceeded"), 1, "each expired follower counts once");
+        assert_eq!(n("server.error.overloaded"), 1, "live followers are shed, not expired");
         assert!(flight.is_empty());
     }
 
     #[test]
     fn publish_on_an_empty_key_is_a_quiet_no_op() {
         let flight: Inflight<Waiter> = Inflight::new();
-        let metrics = ServerMetrics::new();
-        publish(&flight, &metrics, "sweep", 99, &Outcome::Panicked, Duration::ZERO);
-        let doc = metrics.to_json(0);
-        let endpoints = doc.get("endpoints").expect("endpoints");
-        assert!(endpoints.get("sweep").is_none(), "no metrics recorded");
+        let (scope, _in) = scoped();
+        publish(&flight, 99, &Outcome::Panicked, Duration::ZERO);
+        assert!(scope.snapshot().is_empty(), "nothing counted");
     }
 
     fn dummy_waiter(id: u64) -> Waiter {

@@ -16,9 +16,6 @@
 //! * **Per-request deadlines** — every data request carries a deadline
 //!   (its own `deadline_ms` or the server default); work that expires
 //!   while queued is skipped, not executed into a void.
-//! * **Per-endpoint metrics** — request/error/shed/expired counters,
-//!   cache hits and a log-bucketed latency histogram with p50/p95/p99,
-//!   served by the `metrics` endpoint ([`stats`]).
 //! * **Graceful shutdown** — a `shutdown` request closes the queue,
 //!   drains what was admitted, joins the workers and stops the
 //!   listener; clients racing the drain get `shutting_down`, never a
@@ -28,7 +25,8 @@
 //! * **Typed, versioned protocol** — requests decode into per-endpoint
 //!   parameter structs ([`proto::RequestBody`]) before they enter the
 //!   queue; `health` advertises [`proto::VERSION`] /
-//!   [`proto::MIN_VERSION`] and the v1 wire shape stays accepted.
+//!   [`proto::MIN_VERSION`] (both 2: the v1 shape and its `metrics`
+//!   endpoint are retired, and a request without `v` reads as v2).
 //! * **One endpoint table, one wire error** — each data endpoint's name,
 //!   decode, identity and execution are one impl on its parameter
 //!   struct, reached by one lookup from a name or a body; every failure
@@ -47,11 +45,16 @@
 //!   (same [`proto::RequestBody::route_point`] identity) attach to one
 //!   in-flight computation ([`flight`]); followers cost no queue slot
 //!   and no recomputation.
-//! * **Stage observability** — connection and worker stages
+//! * **One metrics path** — connection and worker stages
 //!   (`server.read` … `server.write`, plus
 //!   `server.singleflight.{leader,follower}` and `server.hit.inline`)
-//!   record into the [`obs`] registry; the `metrics_v2` endpoint serves
-//!   the Prometheus-style exposition.
+//!   and the answer counters (`server.ok`, one `server.error.<code>` per
+//!   error class) record into the [`obs`] registry and into this
+//!   server's own [`obs::Scope`], which every thread the server spawns
+//!   enters (the simulation pool's threads carry it too). The
+//!   `metrics_v2` endpoint serves the scope as a Prometheus-style
+//!   exposition, so servers sharing a process report only their own
+//!   work.
 //!
 //! Protocol and endpoint reference live in [`proto`], the endpoint
 //! impls (`endpoint.rs`) and [`router`];
@@ -85,14 +88,12 @@ pub mod poller;
 pub mod proto;
 pub mod queue;
 pub mod router;
-pub mod stats;
 
 use crate::flight::Outcome;
 use crate::poller::PollerPool;
 use crate::proto::RequestBody;
 use crate::queue::BoundedQueue;
 use crate::router::Router;
-use crate::stats::ServerMetrics;
 use runtime::Inflight;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -185,8 +186,9 @@ pub struct Shared {
     pub queue: BoundedQueue<Job>,
     /// Endpoint dispatch + result caches.
     pub router: Router,
-    /// Serving metrics.
-    pub metrics: ServerMetrics,
+    /// This server's stage table: every thread the server spawns
+    /// records into it, and `metrics_v2` renders it.
+    pub obs: obs::Scope,
     /// Default deadline for requests that specify none.
     pub default_deadline_ms: u64,
     /// Idle-connection timeout; `None` = never time out.
@@ -241,6 +243,11 @@ impl Server {
     /// Fails if the listener cannot bind `config.addr`, or if a
     /// configured `store_dir` cannot be created.
     pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
+        // The set-up records into the server's own scope, and so does
+        // every thread spawned here: the poller pool carries the
+        // spawning thread's scope, the workers and acceptor enter it.
+        let scope = obs::Scope::default();
+        let _scope = scope.enter();
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         let router = match &config.store_dir {
@@ -255,7 +262,7 @@ impl Server {
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(config.queue_capacity),
             router,
-            metrics: ServerMetrics::new(),
+            obs: scope,
             default_deadline_ms: config.default_deadline_ms,
             idle_timeout: (config.idle_timeout_ms > 0)
                 .then(|| std::time::Duration::from_millis(config.idle_timeout_ms)),
@@ -265,7 +272,7 @@ impl Server {
             waker: OnceLock::new(),
         });
 
-        let service = Arc::new(conn::ServerService::new(Arc::clone(&shared)));
+        let service = Arc::new(conn::ServerService { shared: Arc::clone(&shared) });
         let pollers = PollerPool::spawn(config.pollers.max(1), service, "implant-server");
         shared.waker.set(pollers.waker()).ok().expect("waker set once");
 
@@ -274,7 +281,10 @@ impl Server {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("implant-server-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
+                    .spawn(move || {
+                        let _scope = shared.obs.enter();
+                        worker_loop(&shared);
+                    })
                     .expect("spawn worker")
             })
             .collect();
@@ -284,7 +294,10 @@ impl Server {
             let registrar = pollers.registrar();
             std::thread::Builder::new()
                 .name("implant-server-accept".to_string())
-                .spawn(move || accept_loop(&listener, &shared, &registrar))
+                .spawn(move || {
+                    let _scope = shared.obs.enter();
+                    accept_loop(&listener, &shared, &registrar);
+                })
                 .expect("spawn acceptor")
         };
 
@@ -312,7 +325,6 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, registrar: &poller:
 /// queue is closed and drained.
 fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.queue.pop() {
-        let endpoint = job.body.endpoint();
         let queued = job.enqueued.elapsed();
         obs::observe!("server.queue_wait", queued);
         let started = Instant::now();
@@ -334,11 +346,11 @@ fn worker_loop(shared: &Shared) {
         let line = {
             let _encode = obs::span!("server.encode");
             let queue_us = queued.as_micros() as u64;
-            outcome.answer(&shared.metrics, endpoint, job.id, queue_us, service, None)
+            outcome.answer(job.id, queue_us, service, None)
         };
         let _ = job.reply.send(line);
         if let Some(key) = job.flight_key {
-            flight::publish(&shared.flight, &shared.metrics, endpoint, key, &outcome, service);
+            flight::publish(&shared.flight, key, &outcome, service);
         }
         shared.wake_pollers();
     }
@@ -359,7 +371,7 @@ impl ServerHandle {
     }
 
     /// The shared state (for tests and in-process clients that want to
-    /// inspect metrics without a socket round-trip).
+    /// inspect the server without a socket round-trip).
     pub fn shared(&self) -> &Arc<Shared> {
         &self.shared
     }
@@ -380,9 +392,7 @@ impl ServerHandle {
     }
 
     /// Waits for the drain to complete: admitted jobs finish, workers
-    /// and the listener exit. Returns the final server-wide latency
-    /// histogram (merged over all endpoints) so callers can report it
-    /// after the sockets are gone.
+    /// and the listener exit.
     ///
     /// Call [`ServerHandle::shutdown`] (or send a `shutdown` request)
     /// first; joining a live server blocks until someone does.
@@ -392,7 +402,7 @@ impl ServerHandle {
     /// Panics if a worker or the listener itself panicked, which would
     /// mean the isolation layers failed — a bug, not an operational
     /// condition.
-    pub fn join(self) -> runtime::LatencyHistogram {
+    pub fn join(self) {
         for worker in self.workers {
             worker.join().expect("worker panicked");
         }
@@ -400,7 +410,6 @@ impl ServerHandle {
         // Workers are gone, so every pending reply has been sent; the
         // pollers flush what remains and drop their sockets.
         self.pollers.stop_and_join();
-        self.shared.metrics.merged_latency()
     }
 }
 
@@ -424,8 +433,15 @@ mod tests {
         (conn, reader)
     }
 
+    /// This server's `metrics_v2` exposition text.
+    fn metrics_v2(conn: &mut TcpStream, reader: &mut BufReader<TcpStream>) -> String {
+        let doc = request(conn, reader, r#"{"id":900,"endpoint":"metrics_v2"}"#);
+        let text = doc.get("result").and_then(|r| r.get("text")).and_then(Json::as_str);
+        text.expect("metrics_v2 carries its text").to_string()
+    }
+
     #[test]
-    fn health_metrics_and_shutdown_round_trip() {
+    fn health_metrics_v2_and_shutdown_round_trip() {
         let handle = Server::spawn(ServerConfig::default()).unwrap();
         let (mut conn, mut reader) = connect(&handle);
 
@@ -451,19 +467,39 @@ mod tests {
         );
         assert_eq!(sweep.get("ok"), Some(&Json::Bool(true)));
 
-        let metrics = request(&mut conn, &mut reader, r#"{"id":3,"endpoint":"metrics"}"#);
-        let sweep_stats = metrics
-            .get("result")
-            .and_then(|r| r.get("endpoints"))
-            .and_then(|e| e.get("sweep"))
-            .expect("sweep must appear in metrics");
-        assert_eq!(sweep_stats.get("ok").and_then(Json::as_u64), Some(1));
+        let text = metrics_v2(&mut conn, &mut reader);
+        assert_eq!(obs::stage_count(&text, None, "server.ok"), 1, "{text}");
+        assert_eq!(obs::stage_count(&text, None, "server.execute"), 1, "{text}");
 
         let bye = request(&mut conn, &mut reader, r#"{"id":4,"endpoint":"shutdown"}"#);
         assert_eq!(bye.get("ok"), Some(&Json::Bool(true)));
         drop(conn);
-        let overall = handle.join();
-        assert_eq!(overall.count(), 1, "one data request was served");
+        handle.join();
+    }
+
+    #[test]
+    fn two_servers_in_one_process_count_only_their_own_traffic() {
+        let busy = Server::spawn(ServerConfig::default()).unwrap();
+        let idle = Server::spawn(ServerConfig::default()).unwrap();
+        let (mut conn, mut reader) = connect(&busy);
+        for seed in 2..6 {
+            let line = format!(
+                r#"{{"id":{seed},"endpoint":"montecarlo","params":{{"trials":20,"seed":{seed}}}}}"#
+            );
+            let doc = request(&mut conn, &mut reader, &line);
+            assert_eq!(doc.get("ok"), Some(&Json::Bool(true)), "{doc}");
+        }
+        let (mut idle_conn, mut idle_reader) = connect(&idle);
+        let busy_text = metrics_v2(&mut conn, &mut reader);
+        let idle_text = metrics_v2(&mut idle_conn, &mut idle_reader);
+        for (stage, want) in [("server.execute", 4), ("server.ok", 4), ("pool.job", 4)] {
+            assert_eq!(obs::stage_count(&busy_text, None, stage), want, "{stage}: {busy_text}");
+            assert_eq!(obs::stage_count(&idle_text, None, stage), 0, "{stage}: {idle_text}");
+        }
+        for handle in [busy, idle] {
+            handle.shutdown();
+            handle.join();
+        }
     }
 
     #[test]
@@ -578,7 +614,7 @@ mod tests {
     }
 
     #[test]
-    fn unknown_endpoints_share_one_metrics_bucket() {
+    fn unknown_endpoints_share_one_error_counter() {
         let handle = Server::spawn(ServerConfig::default()).unwrap();
         let (mut conn, mut reader) = connect(&handle);
         let names: Vec<String> = (0..50).map(|i| format!("probe_{i}")).collect();
@@ -588,14 +624,10 @@ mod tests {
             let code = doc.get("error").and_then(|e| e.get("code")).and_then(Json::as_str);
             assert_eq!(code, Some("unknown_endpoint"));
         }
-        let metrics = request(&mut conn, &mut reader, r#"{"id":99,"endpoint":"metrics"}"#);
-        let endpoints = metrics.get("result").and_then(|r| r.get("endpoints")).expect("endpoints");
-        let Json::Obj(entries) = endpoints else { panic!("endpoints is an object: {endpoints}") };
-        let unknown: Vec<&Json> =
-            entries.iter().filter(|(name, _)| name == conn::UNKNOWN).map(|(_, s)| s).collect();
-        assert_eq!(unknown.len(), 1, "one bucket: {endpoints}");
-        assert_eq!(unknown[0].get("errors").and_then(Json::as_u64), Some(50));
-        assert!(entries.iter().all(|(name, _)| !names.contains(name)), "{endpoints}");
+        // A client cannot grow the exposition with names of its choosing.
+        let text = metrics_v2(&mut conn, &mut reader);
+        assert_eq!(obs::stage_count(&text, None, "server.error.unknown_endpoint"), 50, "{text}");
+        assert!(names.iter().all(|name| !text.contains(name.as_str())), "{text}");
         handle.shutdown();
         drop(conn);
         handle.join();

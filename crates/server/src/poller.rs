@@ -168,11 +168,13 @@ pub struct PollerPool {
 
 impl PollerPool {
     /// Spawns `n` poller threads (at least one) serving `service`,
-    /// named `{name_prefix}-poll-{i}`.
+    /// named `{name_prefix}-poll-{i}`, each recording into the caller's
+    /// [`obs::Scope`].
     pub fn spawn(n: usize, service: Arc<dyn LineService>, name_prefix: &str) -> PollerPool {
         let stop = Arc::new(AtomicBool::new(false));
         let pollers: Vec<Arc<PollerShared>> =
             (0..n.max(1)).map(|_| Arc::new(PollerShared::default())).collect();
+        let caller = obs::Scope::current();
         let threads = pollers
             .iter()
             .enumerate()
@@ -180,9 +182,13 @@ impl PollerPool {
                 let shared = Arc::clone(shared);
                 let service = Arc::clone(&service);
                 let stop = Arc::clone(&stop);
+                let scope = caller.clone();
                 std::thread::Builder::new()
                     .name(format!("{name_prefix}-poll-{i}"))
-                    .spawn(move || poll_loop(&shared, &*service, &stop))
+                    .spawn(move || {
+                        let _scope = scope.as_ref().map(obs::Scope::enter);
+                        poll_loop(&shared, &*service, &stop);
+                    })
                     .expect("spawn poller")
             })
             .collect();

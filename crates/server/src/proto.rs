@@ -13,8 +13,7 @@
 //!
 //! `v` is the protocol version. [`VERSION`] is the current one,
 //! advertised (with [`MIN_VERSION`]) by the `health` endpoint so
-//! clients can negotiate; requests without `v` are treated as v1 — the
-//! original stringly-typed wire shape, which remains accepted verbatim.
+//! clients can negotiate; a request without `v` reads as [`MIN_VERSION`].
 //!
 //! Decoding happens in two layers. [`Request::decode_line`] parses the
 //! *envelope* (id, endpoint, version, deadline, raw params).
@@ -45,16 +44,15 @@ use runtime::Json;
 /// capabilities; older versions stay accepted down to [`MIN_VERSION`].
 pub const VERSION: u64 = 2;
 
-/// Oldest protocol version still accepted (the v1 stringly-typed shape
-/// decodes through the same typed path — `v` was simply absent).
-pub const MIN_VERSION: u64 = 1;
+/// Oldest protocol version still accepted, and the one a request
+/// without `v` speaks. (v1 ended with its `metrics` endpoint.)
+pub const MIN_VERSION: u64 = 2;
 
 /// The control-plane endpoints, answered inline by the connection
 /// thread even when the data plane is saturated. (The data-plane ones
 /// are the endpoint table's rows.)
-const CONTROL: [(&str, RequestBody); 4] = [
+const CONTROL: [(&str, RequestBody); 3] = [
     ("health", RequestBody::Health),
-    ("metrics", RequestBody::Metrics),
     ("metrics_v2", RequestBody::MetricsV2),
     ("shutdown", RequestBody::Shutdown),
 ];
@@ -190,8 +188,8 @@ pub struct Request {
     pub id: u64,
     /// Route name.
     pub endpoint: String,
-    /// Protocol version the client speaks (`None` = the v1 shape,
-    /// which predates the field).
+    /// Protocol version the client speaks (`None` = absent, read as
+    /// [`MIN_VERSION`]).
     pub version: Option<u64>,
     /// Per-request deadline override, milliseconds from receipt.
     pub deadline_ms: Option<u64>,
@@ -443,8 +441,6 @@ impl CohortParams {
 pub enum RequestBody {
     /// Liveness + protocol negotiation (control plane).
     Health,
-    /// Per-endpoint serving metrics (control plane).
-    Metrics,
     /// Prometheus-style stage exposition (control plane).
     MetricsV2,
     /// Begin graceful drain (control plane).
@@ -497,10 +493,7 @@ impl RequestBody {
             RequestBody::Sweep(p) => Some(p),
             RequestBody::Patientday(p) => Some(p),
             RequestBody::Cohort(p) => Some(p),
-            RequestBody::Health
-            | RequestBody::Metrics
-            | RequestBody::MetricsV2
-            | RequestBody::Shutdown => None,
+            RequestBody::Health | RequestBody::MetricsV2 | RequestBody::Shutdown => None,
         }
     }
 
@@ -567,25 +560,30 @@ impl TypedRequest {
 
 // ---- response encoding ------------------------------------------------
 
-/// Encodes a success response line (without the trailing newline).
-pub fn ok_response(id: u64, result: Json, queue_us: u64, service_us: u64) -> String {
-    Json::obj(vec![
-        ("id", Json::Num(id as f64)),
-        ("ok", Json::Bool(true)),
-        ("queue_us", Json::Num(queue_us as f64)),
-        ("service_us", Json::Num(service_us as f64)),
-        ("result", result),
-    ])
-    .to_string()
+/// Encodes a success response line (without the trailing newline),
+/// writing the borrowed `result` in place.
+pub fn ok_response(id: u64, result: &Json, queue_us: u64, service_us: u64) -> String {
+    let num = |n: u64| Json::Num(n as f64);
+    format!(
+        "{{\"id\":{},\"ok\":true,\"queue_us\":{},\"service_us\":{},\"result\":{result}}}",
+        num(id),
+        num(queue_us),
+        num(service_us),
+    )
 }
 
-/// Encodes a success response line, first auditing `result` for
+/// [`ok_line`] for an owned result.
+pub fn ok_response_checked(id: u64, result: Json, queue_us: u64, service_us: u64) -> String {
+    ok_line(id, &result, queue_us, service_us)
+}
+
+/// Encodes a data-plane success line, first auditing `result` for
 /// non-finite floats. The runtime codec would happily print `NaN` /
 /// `Infinity` bare tokens — full-fidelity for cache artifacts, but
 /// *invalid JSON* to a strict client — so a faulted simulation that
 /// produces one degrades to a structured `internal` error naming the
 /// offending path instead of corrupting the wire.
-pub fn ok_response_checked(id: u64, result: Json, queue_us: u64, service_us: u64) -> String {
+pub fn ok_line(id: u64, result: &Json, queue_us: u64, service_us: u64) -> String {
     match result.non_finite_path() {
         None => ok_response(id, result, queue_us, service_us),
         Some(path) => err_response(
@@ -624,7 +622,7 @@ mod tests {
     fn checked_response_degrades_non_finite_results_to_structured_errors() {
         // Finite results pass through untouched.
         let fine = ok_response_checked(1, Json::obj(vec![("x", Json::Num(2.5))]), 3, 4);
-        assert_eq!(fine, ok_response(1, Json::obj(vec![("x", Json::Num(2.5))]), 3, 4));
+        assert_eq!(fine, ok_response(1, &Json::obj(vec![("x", Json::Num(2.5))]), 3, 4));
 
         // A NaN deep in the result becomes an `internal` error that is
         // itself valid, parseable JSON naming the offending path.
@@ -664,7 +662,7 @@ mod tests {
         assert_eq!(r.id, 3);
         assert_eq!(r.endpoint, "sweep");
         assert_eq!(r.deadline_ms, Some(250));
-        assert_eq!(r.version, None, "no v field = the v1 shape");
+        assert_eq!(r.version, None, "no v field: read as MIN_VERSION");
         assert_eq!(r.params.get("steps").and_then(Json::as_u64), Some(4));
     }
 
@@ -695,8 +693,17 @@ mod tests {
 
     #[test]
     fn responses_are_single_lines_and_round_trip() {
-        let ok = ok_response(7, Json::obj(vec![("x", Json::Num(1.0))]), 12, 900);
+        let result = Json::obj(vec![("x", Json::Num(1.0))]);
+        let ok = ok_response(7, &result, 12, 900);
         assert!(!ok.contains('\n'));
+        let envelope = Json::obj(vec![
+            ("id", Json::Num(7.0)),
+            ("ok", Json::Bool(true)),
+            ("queue_us", Json::Num(12.0)),
+            ("service_us", Json::Num(900.0)),
+            ("result", result),
+        ]);
+        assert_eq!(ok, envelope.to_string(), "the borrowed encoder writes the codec's bytes");
         let doc = Json::parse(&ok).unwrap();
         assert_eq!(doc.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(doc.get("id").and_then(Json::as_u64), Some(7));
@@ -713,9 +720,12 @@ mod tests {
     fn version_negotiation_accepts_supported_and_rejects_the_rest() {
         let r = Request::decode_line(r#"{"v":2,"endpoint":"health"}"#).unwrap();
         assert_eq!(r.version, Some(2));
-        let r = Request::decode_line(r#"{"v":1,"endpoint":"health"}"#).unwrap();
-        assert_eq!(r.version, Some(1));
-        for bad in [r#"{"v":0,"endpoint":"health"}"#, r#"{"v":99,"endpoint":"health"}"#] {
+        let bad = [
+            r#"{"v":0,"endpoint":"health"}"#,
+            r#"{"v":1,"endpoint":"health"}"#,
+            r#"{"v":99,"endpoint":"health"}"#,
+        ];
+        for bad in bad {
             let err = Request::decode_line(bad).unwrap_err();
             assert_eq!(err.code, ErrorCode::BadRequest);
             assert_eq!(err.field.as_deref(), Some("v"), "{bad}");

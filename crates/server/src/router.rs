@@ -249,7 +249,7 @@ mod tests {
     #[test]
     fn control_endpoints_do_not_route_through_the_data_plane() {
         let r = router();
-        for name in ["health", "metrics", "metrics_v2", "shutdown"] {
+        for name in ["health", "metrics_v2", "shutdown"] {
             let err = route(&r, name, &params(vec![])).unwrap_err();
             assert_eq!(err.code, ErrorCode::UnknownEndpoint, "{name}");
         }
@@ -317,7 +317,7 @@ mod tests {
                 .result,
             warm.result
         );
-        assert!(obs::prometheus_text().contains("stage=\"cosim.calibration.hit\""));
+        assert!(obs::render_prometheus(&obs::snapshot()).contains("stage=\"cosim.calibration.hit\""));
     }
 
     #[test]

@@ -77,22 +77,27 @@ fn code(doc: &Json) -> Option<&str> {
     doc.get("error").and_then(|e| e.get("code")).and_then(Json::as_str)
 }
 
-/// The server's totals, summed over the v1 `metrics` endpoint table.
+/// The server's totals, read from this server's `metrics_v2` counters.
 fn totals(conn: &mut Conn) -> Totals {
-    let metrics = conn.exchange(br#"{"id":99,"endpoint":"metrics"}"#);
-    let endpoints = metrics.get("result").and_then(|r| r.get("endpoints")).expect("endpoints");
-    let Json::Obj(entries) = endpoints else { panic!("endpoints is an object: {endpoints}") };
-    let mut t = Totals::default();
-    for (_, stats) in entries {
-        let n = |key: &str| stats.get(key).and_then(Json::as_u64).expect("counter");
-        t.ok += n("ok");
-        t.errors += n("errors");
-        t.shed += n("shed");
-        t.expired += n("expired");
-        t.cache_hits += n("cache_hits");
-        t.cache_misses += n("cache_misses");
+    let doc = conn.exchange(br#"{"id":99,"endpoint":"metrics_v2"}"#);
+    let text = doc.get("result").and_then(|r| r.get("text")).and_then(Json::as_str).expect("text");
+    let n = |stage: &str| obs::stage_count(text, None, stage);
+    let all_errors: u64 = text
+        .lines()
+        .filter_map(|line| line.strip_prefix("implant_obs_stage_count{stage=\"server.error."))
+        .map(|rest| rest.rsplit_once(' ').and_then(|(_, v)| v.parse::<u64>().ok()).expect("count"))
+        .sum();
+    let (shed, expired) = (n("server.error.overloaded"), n("server.error.deadline_exceeded"));
+    Totals {
+        ok: n("server.ok"),
+        errors: all_errors - shed - expired,
+        shed,
+        expired,
+        cache_hits: n("pool.cache_hit")
+            + n("server.hit.inline")
+            + n("server.singleflight.follower"),
+        cache_misses: n("pool.cache_miss"),
     }
-    t
 }
 
 #[test]

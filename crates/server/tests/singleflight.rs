@@ -1,6 +1,7 @@
 //! The single-flight race battery: concurrent identical requests on a
-//! live server must collapse onto one execution — one `cache_miss`,
-//! every follower a `collapsed` hit, every response body bit-identical
+//! live server must collapse onto one execution — one `pool.cache_miss`,
+//! every follower a `server.singleflight.follower` hit, every response
+//! body bit-identical
 //! — and an expired or unlucky leader must fail its followers with
 //! structured errors, never a hang or a poisoned key.
 //!
@@ -8,7 +9,6 @@
 //! the lone worker, so the racing duplicates demonstrably all arrive
 //! *before* the leader executes.
 
-use runtime::Json;
 use server::client::Client;
 use server::{Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
@@ -70,16 +70,20 @@ fn result_tail(line: &str) -> &str {
     tail
 }
 
-fn endpoint_counter(addr: SocketAddr, endpoint: &str, key: &str) -> u64 {
+/// A stage count from the server's `metrics_v2` exposition.
+fn stage_count(addr: SocketAddr, stage: &str) -> u64 {
     let mut client = Client::connect(addr).expect("connect metrics");
-    let metrics = client.request("metrics", Json::Obj(Vec::new())).expect("metrics answers");
-    metrics
-        .result()
-        .and_then(|r| r.get("endpoints"))
-        .and_then(|e| e.get(endpoint))
-        .and_then(|s| s.get(key))
-        .and_then(Json::as_u64)
-        .unwrap_or_else(|| panic!("metrics missing endpoints.{endpoint}.{key}"))
+    let text = client.metrics_v2_text().expect("metrics_v2 answers");
+    obs::stage_count(&text, None, stage)
+}
+
+/// Cache hits as the server counts them: pool hits, inline hits and
+/// single-flight followers.
+fn cache_hits(addr: SocketAddr) -> u64 {
+    ["pool.cache_hit", "server.hit.inline", "server.singleflight.follower"]
+        .map(|stage| stage_count(addr, stage))
+        .iter()
+        .sum()
 }
 
 #[test]
@@ -118,11 +122,10 @@ fn identical_concurrent_requests_collapse_to_one_execution() {
 
     // Accounting: blocker + leader each missed once; every follower is
     // a collapsed hit; nobody computed twice.
-    assert_eq!(endpoint_counter(addr, "montecarlo", "requests"), (N + 1) as u64);
-    assert_eq!(endpoint_counter(addr, "montecarlo", "ok"), (N + 1) as u64);
-    assert_eq!(endpoint_counter(addr, "montecarlo", "cache_misses"), 2, "blocker + leader");
-    assert_eq!(endpoint_counter(addr, "montecarlo", "collapsed"), (N - 1) as u64);
-    assert_eq!(endpoint_counter(addr, "montecarlo", "cache_hits"), (N - 1) as u64);
+    assert_eq!(stage_count(addr, "server.ok"), (N + 1) as u64);
+    assert_eq!(stage_count(addr, "pool.cache_miss"), 2, "blocker + leader");
+    assert_eq!(stage_count(addr, "server.singleflight.follower"), (N - 1) as u64);
+    assert_eq!(cache_hits(addr), (N - 1) as u64);
 
     handle.shutdown();
     handle.join();
@@ -155,8 +158,8 @@ fn distinct_concurrent_requests_do_not_collapse() {
     }
     reap_blocker(blocker);
 
-    assert_eq!(endpoint_counter(addr, "montecarlo", "cache_misses"), (N + 1) as u64);
-    assert_eq!(endpoint_counter(addr, "montecarlo", "collapsed"), 0);
+    assert_eq!(stage_count(addr, "pool.cache_miss"), (N + 1) as u64);
+    assert_eq!(stage_count(addr, "server.singleflight.follower"), 0);
 
     handle.shutdown();
     handle.join();
@@ -193,9 +196,10 @@ fn expired_leader_fails_all_expired_followers_without_poisoning_the_key() {
     }
     reap_blocker(blocker);
 
-    // Leader and every follower expired exactly once each.
-    assert_eq!(endpoint_counter(addr, "montecarlo", "expired"), N as u64);
-    assert_eq!(endpoint_counter(addr, "montecarlo", "collapsed"), 0);
+    // Leader and every follower expired exactly once each; only the
+    // blocker succeeded.
+    assert_eq!(stage_count(addr, "server.error.deadline_exceeded"), N as u64);
+    assert_eq!(stage_count(addr, "server.ok"), 1);
 
     // The key is not poisoned: the identical question with a sane
     // deadline computes fresh and succeeds.
@@ -241,8 +245,9 @@ fn follower_with_a_live_deadline_is_shed_when_its_leader_expires() {
     assert!(follower_line.contains("leader expired"), "{follower_line}");
     reap_blocker(blocker);
 
-    assert_eq!(endpoint_counter(addr, "montecarlo", "expired"), 1, "only the leader expired");
-    assert_eq!(endpoint_counter(addr, "montecarlo", "shed"), 1, "the follower was shed");
+    let n = |stage| stage_count(addr, stage);
+    assert_eq!(n("server.error.deadline_exceeded"), 1, "only the leader expired");
+    assert_eq!(n("server.error.overloaded"), 1, "the follower was shed");
 
     handle.shutdown();
     handle.join();
@@ -270,9 +275,9 @@ fn sequential_duplicates_hit_the_cache_not_the_flight() {
 
     // No flight existed to attach to: the second request was a plain
     // cache hit, not a collapsed follower.
-    assert_eq!(endpoint_counter(addr, "montecarlo", "collapsed"), 0);
-    assert_eq!(endpoint_counter(addr, "montecarlo", "cache_hits"), 1);
-    assert_eq!(endpoint_counter(addr, "montecarlo", "cache_misses"), 1);
+    assert_eq!(stage_count(addr, "server.singleflight.follower"), 0);
+    assert_eq!(cache_hits(addr), 1);
+    assert_eq!(stage_count(addr, "pool.cache_miss"), 1);
 
     handle.shutdown();
     handle.join();

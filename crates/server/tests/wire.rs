@@ -113,7 +113,7 @@ const ERRORS: [(&[u8], &str); 5] = [
     ),
     (
         br#"{"id":3,"endpoint":"frobnicate"}"#,
-        r#"{"id":3.0,"ok":false,"error":{"code":"unknown_endpoint","field":"endpoint","message":"no endpoint \"frobnicate\" (data: [\"fig11\", \"fullchain\", \"montecarlo\", \"sweep\", \"patientday\", \"cohort\"]; control: [\"health\", \"metrics\", \"metrics_v2\", \"shutdown\"])"}}"#,
+        r#"{"id":3.0,"ok":false,"error":{"code":"unknown_endpoint","field":"endpoint","message":"no endpoint \"frobnicate\" (data: [\"fig11\", \"fullchain\", \"montecarlo\", \"sweep\", \"patientday\", \"cohort\"]; control: [\"health\", \"metrics_v2\", \"shutdown\"])"}}"#,
     ),
     (
         br#"{"id":4,"endpoint":"sweep","params":{"steps":1}}"#,

@@ -197,7 +197,7 @@ fn fan_in_seed(d: usize, i: usize) -> u64 {
 
 /// The single-flight collapse ledger under fan-in: 8 drivers push a
 /// 90 %-duplicate Monte Carlo schedule through 500 parked idle
-/// connections, and the server's own per-endpoint metrics must show
+/// connections, and the server's own `metrics_v2` counters must show
 /// one execution per distinct point, every duplicate a hit (collapsed
 /// onto a live flight or replayed from cache), nothing shed, nothing
 /// expired — then a clean drain with the crowd still parked. The ledger
@@ -249,21 +249,14 @@ fn a_duplicate_heavy_fan_in_through_an_idle_crowd_executes_each_point_once() {
     assert_eq!(ok, total, "every request is answered ok");
 
     let mut client = Client::connect(addr).expect("metrics connection");
-    let metrics = client.request("metrics", Json::Obj(Vec::new())).expect("metrics answers");
-    let counter = |key: &str| {
-        metrics
-            .result()
-            .and_then(|r| r.get("endpoints"))
-            .and_then(|e| e.get("montecarlo"))
-            .and_then(|m| m.get(key))
-            .and_then(Json::as_u64)
-            .unwrap_or_else(|| panic!("metrics missing endpoints.montecarlo.{key}"))
-    };
-    assert_eq!(counter("requests"), total);
-    assert_eq!(counter("cache_misses"), unique, "one execution per distinct point");
-    assert_eq!(counter("cache_hits"), total - unique, "every duplicate is a hit");
-    assert_eq!(counter("shed"), 0);
-    assert_eq!(counter("expired"), 0);
+    let text = client.metrics_v2_text().expect("metrics_v2 answers");
+    let counter = |stage: &str| obs::stage_count(&text, None, stage);
+    let hits = ["pool.cache_hit", "server.hit.inline", "server.singleflight.follower"];
+    assert_eq!(counter("server.ok"), total);
+    assert_eq!(counter("pool.cache_miss"), unique, "one execution per distinct point");
+    assert_eq!(hits.map(counter).iter().sum::<u64>(), total - unique, "every duplicate is a hit");
+    assert_eq!(counter("server.error.overloaded"), 0);
+    assert_eq!(counter("server.error.deadline_exceeded"), 0);
 
     let ack = client.shutdown().expect("shutdown acks");
     assert!(ack.is_ok(), "the loaded server drains under the crowd");

@@ -268,14 +268,9 @@ fn server_sheds_load_with_a_structured_error_when_saturated() {
         assert_eq!(resp.error_code(), Some("overloaded"));
         assert_eq!(resp.id(), Some(expect_id));
     }
-    let metrics = client.request("metrics", Json::Obj(Vec::new())).expect("metrics answers");
-    let shed = metrics
-        .result()
-        .and_then(|r| r.get("endpoints"))
-        .and_then(|e| e.get("sweep"))
-        .and_then(|s| s.get("shed"))
-        .and_then(Json::as_u64);
-    assert_eq!(shed, Some(3), "all three sheds accounted");
+    let text = client.metrics_v2_text().expect("metrics_v2 answers");
+    let shed = electronic_implants::obs::stage_count(&text, None, "server.error.overloaded");
+    assert_eq!(shed, 3, "all three sheds accounted");
 
     handle.shutdown();
     drop(client);
