@@ -99,8 +99,8 @@ impl Args {
 }
 
 /// Runs `f` `repeats` (≥ 1) times into `record`'s `{name}.*` latency
-/// row: the run count and the p50/p95/p99 as nearest-rank order
-/// statistics of the raw durations (the ⌈q·n⌉-th smallest run). The
+/// row: the run count and the p50/p95/p99 of the raw durations by
+/// [`nearest_rank`]. The
 /// result is folded into a checksum so the optimizer cannot elide the
 /// kernel, and must come out finite. The best raw duration is returned
 /// for ratio math.
@@ -119,8 +119,8 @@ fn time_kernel(
         })
         .collect();
     runs.sort_unstable();
-    let rank = |q: f64| runs[((q * runs.len() as f64).ceil() as usize).clamp(1, runs.len()) - 1];
-    let (best, p50, p95, p99) = (runs[0], rank(0.50), rank(0.95), rank(0.99));
+    let [p50, p95, p99] = [0.50, 0.95, 0.99].map(|q| nearest_rank(&runs, q));
+    let best = runs[0];
     println!(
         "  {name:<20} {repeats} runs · best {best:.3?} · p50 {p50:?} · p95 {p95:?} · p99 {p99:?}"
     );
@@ -130,6 +130,12 @@ fn time_kernel(
         record.metric(format!("{name}.{label}"), duration_us(d));
     }
     best
+}
+
+/// The `q`-quantile of ascending, non-empty `sorted` by nearest rank:
+/// the ⌈q·n⌉-th smallest, clamped to the first and last sample.
+fn nearest_rank<T: Copy>(sorted: &[T], q: f64) -> T {
+    sorted[((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1]
 }
 
 /// `numerator / denominator` of two best runs.
@@ -345,6 +351,20 @@ mod tests {
             want.iter().map(|&(n, op, b)| (n.to_string(), op, b)).collect();
         assert_eq!(specs, want);
         assert!(gates(&m).iter().all(Gate::holds));
+    }
+
+    #[test]
+    fn kernel_quantiles_are_nearest_rank_order_statistics() {
+        let quantiles = |n: u32| {
+            let sorted: Vec<u32> = (1..=n).collect();
+            [0.50, 0.95, 0.99].map(|q| nearest_rank(&sorted, q))
+        };
+        // ⌈q·n⌉-th smallest of 1..=n, clamped to rank 1..=n.
+        assert_eq!(quantiles(1), [1, 1, 1]);
+        assert_eq!(quantiles(2), [1, 2, 2]);
+        assert_eq!(quantiles(5), [3, 5, 5]);
+        assert_eq!(quantiles(100), [50, 95, 99]);
+        assert_eq!(nearest_rank(&[7], 0.0), 7, "q = 0 clamps to the smallest");
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!
 //! Every probe bumps the `cluster.probe` stage; transitions bump
 //! `cluster.up` / `cluster.down`. The prober records into the set's own
-//! [`obs::Scope`] ([`ReplicaSet::scope`]), which the front proxy's
-//! workers share, so a scrape of the merged `metrics_v2` shows
-//! membership churn next to request latencies.
+//! [`obs::Scope`], which the front proxy's threads share, so a scrape
+//! of the merged `metrics_v2` shows membership churn next to request
+//! latencies.
 //!
 //! The state machine itself ([`ProbeCounters::step`]) is a pure
 //! function — unit-tested without sockets; the prober thread is just a
@@ -199,8 +199,9 @@ pub struct ReplicaSet {
     /// The config local replicas were spawned from — kept so a killed
     /// member can be respawned for rejoin. `None` for adopted sets.
     template: Option<ServerConfig>,
-    /// The cluster's own stage table (`cluster.*`: probing, routing).
-    scope: obs::Scope,
+    /// The cluster's own stage table (`cluster.*`): the prober records
+    /// into it, and so do the front proxy's threads.
+    pub(crate) scope: obs::Scope,
 }
 
 impl ReplicaSet {
@@ -273,10 +274,7 @@ impl ReplicaSet {
             let set = Arc::clone(&set);
             std::thread::Builder::new()
                 .name("implant-cluster-prober".to_string())
-                .spawn(move || {
-                    let _scope = set.scope.enter();
-                    set.probe_loop();
-                })
+                .spawn(move || set.scope.run(|| set.probe_loop()))
                 .expect("spawn prober")
         };
         *set.prober.lock().expect("prober lock") = Some(prober);
@@ -314,12 +312,6 @@ impl ReplicaSet {
                 std::thread::sleep((deadline - now).min(Duration::from_millis(5)));
             }
         }
-    }
-
-    /// The cluster's own stage table: the prober records into it, and
-    /// so do the front proxy's threads. Each replica keeps its own.
-    pub fn scope(&self) -> &obs::Scope {
-        &self.scope
     }
 
     /// The membership, in spawn order (the order rendezvous ranking

@@ -18,7 +18,7 @@
 //! * `health` — proxy status plus a per-replica membership table
 //!   (name, address, up/down/unknown, probe count) and the up count;
 //! * `metrics_v2` — each reachable replica's own Prometheus exposition
-//!   plus the cluster's own stages (the [`ReplicaSet::scope`] the
+//!   plus the cluster's own stages (the set's [`obs::Scope`] the
 //!   prober and this proxy's threads record into: `cluster.route`,
 //!   retries, failovers, hedges, probes, up/down transitions), merged by
 //!   [`obs::merge_prometheus`] with every sample tagged
@@ -208,7 +208,7 @@ impl ClusterProxy {
 
         // Every proxy thread records into the cluster's scope; the
         // poller pool carries the spawning thread's.
-        let _scope = shared.set.scope().enter();
+        let _scope = shared.set.scope.enter();
         let service = Arc::new(ProxyService { shared: Arc::clone(&shared) });
         let pollers = PollerPool::spawn(pollers_n, service, "implant-cluster");
         shared.waker.set(pollers.waker()).ok().expect("waker set once");
@@ -218,10 +218,7 @@ impl ClusterProxy {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("implant-cluster-worker-{i}"))
-                    .spawn(move || {
-                        let _scope = shared.set.scope().enter();
-                        worker_loop(&shared);
-                    })
+                    .spawn(move || shared.set.scope.run(|| worker_loop(&shared)))
                     .expect("spawn proxy worker")
             })
             .collect();
@@ -231,10 +228,7 @@ impl ClusterProxy {
             let registrar = pollers.registrar();
             std::thread::Builder::new()
                 .name("implant-cluster-accept".to_string())
-                .spawn(move || {
-                    let _scope = shared.set.scope().enter();
-                    accept_loop(&listener, &shared, &registrar);
-                })
+                .spawn(move || shared.set.scope.run(|| accept_loop(&listener, &shared, &registrar)))
                 .expect("spawn proxy acceptor")
         };
         Ok(ProxyHandle { shared, accept, workers, pollers })
@@ -431,7 +425,7 @@ fn merged_metrics_v2(id: u64, shared: &Arc<ProxyShared>) -> String {
             parts.push((member.name().to_string(), text));
         }
     }
-    parts.push(("cluster".to_string(), obs::render_prometheus(&shared.set.scope().snapshot())));
+    parts.push(("cluster".to_string(), obs::render_prometheus(&shared.set.scope.snapshot())));
     let borrowed: Vec<(&str, &str)> =
         parts.iter().map(|(n, t)| (n.as_str(), t.as_str())).collect();
     let body = Json::obj(vec![

@@ -61,6 +61,12 @@ impl Scope {
         Entered { previous, _this_thread: PhantomData }
     }
 
+    /// Runs `f` with `self` entered on this thread.
+    pub fn run<R>(&self, f: impl FnOnce() -> R) -> R {
+        let _entered = self.enter();
+        f()
+    }
+
     /// The stages recorded in this scope, sorted by name (the shape of
     /// [`crate::snapshot`], without the stages it never recorded).
     pub fn snapshot(&self) -> Vec<StageSnapshot> {

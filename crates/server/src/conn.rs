@@ -19,9 +19,10 @@
 //!
 //! Data requests with a [`RequestBody::route_point`] identity then join
 //! the single-flight table: if an identical request is already in
-//! flight, this one parks as a follower (`server.singleflight.follower`)
-//! and is answered when the leader publishes — it never occupies a
-//! queue slot or recomputes the artifact. A leader the queue refuses
+//! flight, this one parks as a follower and is answered when the leader
+//! publishes (counting `server.singleflight.follower`, its cache hit,
+//! if answered ok) — it never occupies a queue slot or recomputes the
+//! artifact. A leader the queue refuses
 //! resolves its flight at once with the refusal.
 //!
 //! Each protocol stage records into the [`obs`] registry and the
@@ -49,7 +50,13 @@ pub const MAX_LINE: usize = 64 * 1024;
 /// behind every connection, no per-connection thread or state beyond
 /// what the poller keeps.
 pub(crate) struct ServerService {
-    pub(crate) shared: Arc<Shared>,
+    shared: Arc<Shared>,
+}
+
+impl ServerService {
+    pub(crate) fn new(shared: Arc<Shared>) -> Self {
+        ServerService { shared }
+    }
 }
 
 impl LineService for ServerService {
@@ -175,10 +182,7 @@ fn submit(
         }
         let waiter = Waiter { id, enqueued: now, deadline, reply: reply.clone() };
         match shared.flight.join(key, waiter) {
-            Flight::Attached => {
-                obs::count!("server.singleflight.follower");
-                return LineAction::Pending(inbox);
-            }
+            Flight::Attached => return LineAction::Pending(inbox),
             Flight::Leader => obs::count!("server.singleflight.leader"),
         }
     }

@@ -75,9 +75,11 @@ pub(crate) fn count_answer(error: Option<ErrorCode>) {
 impl Outcome {
     /// Renders and counts ([`count_answer`]) the line one request
     /// receives: the leader (`follower` `None`) or a follower, given its
-    /// own deadline. `queue_us` is the request's own wait; `service` the
-    /// leader's execution time. A success line is encoded from the
-    /// borrowed result, so the leader and its followers share one copy.
+    /// own deadline. A follower answered ok also counts
+    /// `server.singleflight.follower`, its one cache hit. `queue_us` is
+    /// the request's own wait; `service` the leader's execution time. A
+    /// success line is encoded from the borrowed result, so the leader
+    /// and its followers share one copy.
     pub fn answer(
         &self,
         id: u64,
@@ -88,6 +90,9 @@ impl Outcome {
         let err = match self {
             Outcome::Answer(Ok(routed)) => {
                 count_answer(None);
+                if follower.is_some() {
+                    obs::count!("server.singleflight.follower");
+                }
                 return ok_line(id, &routed.result, queue_us, service.as_micros() as u64);
             }
             Outcome::Answer(Err(e)) => e.clone(),
@@ -182,6 +187,7 @@ mod tests {
         assert!(l1.contains("\"answer\":42"));
         assert_eq!(body(&l1), body(&l2), "followers observe one result document");
         assert_eq!(count(&scope, "server.ok"), 2);
+        assert_eq!(count(&scope, "server.singleflight.follower"), 2, "one hit per follower");
         assert!(flight.is_empty(), "flight entry removed");
     }
 
@@ -217,6 +223,7 @@ mod tests {
         // The very next request for the key leads a fresh flight.
         assert_eq!(flight.join(5, dummy_waiter(0)), Flight::Leader);
         assert_eq!(count(&scope, "server.error.internal"), 2);
+        assert_eq!(count(&scope, "server.singleflight.follower"), 0, "no hit on a panic");
     }
 
     #[test]
@@ -236,6 +243,7 @@ mod tests {
         let n = |stage| count(&scope, stage);
         assert_eq!(n("server.error.deadline_exceeded"), 1, "each expired follower counts once");
         assert_eq!(n("server.error.overloaded"), 1, "live followers are shed, not expired");
+        assert_eq!(n("server.singleflight.follower"), 0, "an expired flight serves no hit");
         assert!(flight.is_empty());
     }
 

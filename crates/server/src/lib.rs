@@ -272,7 +272,7 @@ impl Server {
             waker: OnceLock::new(),
         });
 
-        let service = Arc::new(conn::ServerService { shared: Arc::clone(&shared) });
+        let service = Arc::new(conn::ServerService::new(Arc::clone(&shared)));
         let pollers = PollerPool::spawn(config.pollers.max(1), service, "implant-server");
         shared.waker.set(pollers.waker()).ok().expect("waker set once");
 
@@ -281,10 +281,7 @@ impl Server {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("implant-server-worker-{i}"))
-                    .spawn(move || {
-                        let _scope = shared.obs.enter();
-                        worker_loop(&shared);
-                    })
+                    .spawn(move || shared.obs.run(|| worker_loop(&shared)))
                     .expect("spawn worker")
             })
             .collect();
@@ -294,10 +291,7 @@ impl Server {
             let registrar = pollers.registrar();
             std::thread::Builder::new()
                 .name("implant-server-accept".to_string())
-                .spawn(move || {
-                    let _scope = shared.obs.enter();
-                    accept_loop(&listener, &shared, &registrar);
-                })
+                .spawn(move || shared.obs.run(|| accept_loop(&listener, &shared, &registrar)))
                 .expect("spawn acceptor")
         };
 

@@ -1,9 +1,9 @@
 //! The single-flight race battery: concurrent identical requests on a
 //! live server must collapse onto one execution — one `pool.cache_miss`,
-//! every follower a `server.singleflight.follower` hit, every response
-//! body bit-identical
-//! — and an expired or unlucky leader must fail its followers with
-//! structured errors, never a hang or a poisoned key.
+//! every follower answered ok a `server.singleflight.follower` hit,
+//! every response body bit-identical — and an expired or unlucky leader
+//! must fail its followers with structured errors, never a hang or a
+//! poisoned key.
 //!
 //! Every test runs `workers: 1` with a long blocker request parked on
 //! the lone worker, so the racing duplicates demonstrably all arrive
@@ -196,10 +196,11 @@ fn expired_leader_fails_all_expired_followers_without_poisoning_the_key() {
     }
     reap_blocker(blocker);
 
-    // Leader and every follower expired exactly once each; only the
-    // blocker succeeded.
+    // Leader and every follower expired exactly once each; no follower
+    // was served, so none counts a hit.
     assert_eq!(stage_count(addr, "server.error.deadline_exceeded"), N as u64);
-    assert_eq!(stage_count(addr, "server.ok"), 1);
+    assert_eq!(stage_count(addr, "server.singleflight.follower"), 0);
+    assert_eq!(cache_hits(addr), 0);
 
     // The key is not poisoned: the identical question with a sane
     // deadline computes fresh and succeeds.
@@ -248,6 +249,7 @@ fn follower_with_a_live_deadline_is_shed_when_its_leader_expires() {
     let n = |stage| stage_count(addr, stage);
     assert_eq!(n("server.error.deadline_exceeded"), 1, "only the leader expired");
     assert_eq!(n("server.error.overloaded"), 1, "the follower was shed");
+    assert_eq!(n("server.singleflight.follower"), 0, "a shed follower is no hit");
 
     handle.shutdown();
     handle.join();
